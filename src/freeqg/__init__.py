@@ -2,8 +2,8 @@
 
 Words over a two-letter alphabet index mixed tensor powers of the fundamental
 comodule; pairings of those words span the coinvariant spaces.  The package
-enumerates the diagrams, settles span and rank questions exactly over the
-rationals, carries the free fusion semiring, and drives floating-point matrix
+enumerates the diagrams, settles span and rank questions exactly by integer
+elimination, carries the free fusion semiring, and drives floating-point matrix
 models that separate polynomials in the generators from zero.
 """
 
@@ -20,7 +20,6 @@ from .coinvariants import (
     joint_fullness,
     nc_rank,
     realize_functional,
-    restriction,
     verify_witness,
 )
 from .fusion import FusionVector, dimension, fuse, star_reverse, trivial_multiplicity
@@ -69,7 +68,6 @@ __all__ = [
     "joint_fullness",
     "nc_rank",
     "realize_functional",
-    "restriction",
     "verify_witness",
     "FusionVector",
     "dimension",

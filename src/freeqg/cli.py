@@ -83,6 +83,8 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
     quotient = QuotientSpec(args.dw, args.du)
     if args.word is not None:
         words = [parse_word(args.word)]
+    elif args.max_len < 0:
+        raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
     else:
         words = balanced_words(args.max_len)
     tasks = [(str(w), ambient.n, quotient.d_w, quotient.d_u) for w in words]

@@ -5,8 +5,9 @@ A pairing p of a word defines a functional T_p on the word's tensor space by
 a product of Kronecker deltas along the arcs.  Inner products of these
 functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
-size of the block it stays in.  All span and rank questions are settled
-exactly over the rationals; floats never enter.
+size of the block it stays in.  Every Gram entry is a product of powers of
+n, d_w and d_u, so all span and rank questions are settled exactly by integer
+elimination; floats never enter.
 
 Two independent routes to the same geometry are kept side by side on purpose:
 loop counting produces Gram entries combinatorially, while realize_functional
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "realize_functional",
     "invariant_dimension_oracle",
     "nc_rank",
-    "restriction",
     "fullness_system",
     "in_noncrossing_span",
     "joint_fullness",
@@ -96,13 +95,13 @@ class FullnessVerdict:
     holds              every jointly coinvariant functional lies in the
                        non-crossing span
     solution_space_dim dimension of the jointly coinvariant coefficient space
-    witness            coefficients (over all pairings) of a violating
-                       functional, or None
+    witness            integer coefficients (over all pairings) of a
+                       violating functional, or None
     """
 
     holds: bool
     solution_space_dim: int
-    witness: tuple[Fraction, ...] | None = None
+    witness: tuple[int, ...] | None = None
 
 
 def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
@@ -193,7 +192,7 @@ def invariant_dimension_oracle(
     and V* slots carry every symbol equally often.  On that subspace the
     off-diagonal units are stacked into a single positive semidefinite integer
     matrix; x is annihilated by all of them iff x^T M x = 0 iff M x = 0, so
-    the answer is the nullity of M, exact over the rationals.
+    the answer is the nullity of M, computed exactly.
     """
     n = ambient.n
     length = len(word)
@@ -247,16 +246,6 @@ def nc_rank(word: Word, ambient: AmbientSpec) -> int:
     return gram_matrix(ncs, word, ambient).rank()
 
 
-def restriction(p: Pairing, coloring: Coloring) -> Pairing | None:
-    """Restrict a pairing functional to a colored summand.
-
-    The restriction is the colored functional of the same pairing when every
-    arc stays inside one block, and zero (None) otherwise: an arc joining W to
-    U keeps no surviving delta.
-    """
-    return p if is_block_respecting(p, coloring) else None
-
-
 def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     """Constraint system for joint coinvariance of a balanced word.
 
@@ -299,9 +288,9 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
             continue
         reduced = ExactMatrix(cokernel, cols=len(sel)) @ colored_gram
         for row in reduced.row_list():
-            if all(x == 0 for x in row):
+            if not any(row):
                 continue
-            full_row = [Fraction(0)] * len(pairings)
+            full_row = [0] * len(pairings)
             for k, i in enumerate(sel):
                 full_row[i] = row[k]
             constraint_rows.append(full_row)
@@ -310,11 +299,27 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
 
 
 def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
-    """Does the functional with these pairing coefficients lie in the span of
-    the non-crossing ones?  Decided exactly through the Gram matrix."""
+    """Does the functional with these pairing coefficients (ints or Fractions)
+    lie in the span of the non-crossing ones?  Decided exactly through the
+    Gram matrix."""
     image = gram.matvec(coeffs)
     ok, _ = gram.column_submatrix(nc_indices).in_column_space(image)
     return ok
+
+
+def _first_outside_span(block: ExactMatrix, vectors) -> int | None:
+    """Index of the first vector outside the column space of block, or None.
+
+    One elimination of [block | vectors] decides it: a vector whose column
+    takes a pivot lies outside the span of the block and the vectors before
+    it, while every earlier vector, taking none, lies in the block's span.
+    """
+    augmented = ExactMatrix(
+        [list(row) + [v[i] for v in vectors] for i, row in enumerate(block.row_list())],
+        cols=block.cols + len(vectors),
+    )
+    pivots = augmented.pivot_columns()
+    return next((c - block.cols for c in pivots if c >= block.cols), None)
 
 
 def joint_fullness(
@@ -326,35 +331,23 @@ def joint_fullness(
     The jointly coinvariant coefficient space is the right kernel of the
     constraint system from fullness_system; the verdict holds when the Gram
     image of each kernel basis vector lies in the column space of the
-    non-crossing Gram columns.  A failing verdict carries the first violating
-    basis vector as a witness, re-checked from scratch before returning.
+    non-crossing Gram columns, which one elimination of the non-crossing
+    columns next to all images decides.  A failing verdict carries the first
+    violating basis vector as a witness, re-checked from scratch before
+    returning.
     """
     if not word.balanced:
         raise ValueError("joint fullness is a question about balanced words only")
     pairings, nc_indices, gram, constraints = fullness_system(word, ambient, quotient)
     solution = constraints.nullspace_basis()
-    if not solution:
-        return FullnessVerdict(True, 0, None)
-    nc_gram = gram.column_submatrix(nc_indices)
     images = [gram.matvec(a) for a in solution]
-    # one elimination answers the all-hold case: adjoining all images must not
-    # raise the rank of the non-crossing columns
-    augmented = ExactMatrix(
-        [
-            list(row) + [image[i] for image in images]
-            for i, row in enumerate(nc_gram.row_list())
-        ],
-        cols=nc_gram.cols + len(images),
-    )
-    if augmented.rank() == nc_gram.rank():
+    first = _first_outside_span(gram.column_submatrix(nc_indices), images)
+    if first is None:
         return FullnessVerdict(True, len(solution), None)
-    for a, image in zip(solution, images):
-        ok, _ = nc_gram.in_column_space(image)
-        if not ok:
-            witness = tuple(a)
-            assert verify_witness(word, ambient, quotient, witness)
-            return FullnessVerdict(False, len(solution), witness)
-    raise AssertionError("rank test and membership test disagree")
+    witness = tuple(solution[first])
+    if not verify_witness(word, ambient, quotient, witness):
+        raise AssertionError("witness fails re-verification")
+    return FullnessVerdict(False, len(solution), witness)
 
 
 def verify_witness(
@@ -363,13 +356,15 @@ def verify_witness(
     """Re-check a claimed violation from scratch.
 
     True iff the coefficients satisfy every colored summand constraint yet
-    the functional falls outside the global non-crossing span.
+    the functional falls outside the global non-crossing span.  The
+    coefficients may be ints or Fractions, such as a witness read back from
+    its JSON strings.
     """
     pairings, nc_indices, gram, constraints = fullness_system(word, ambient, quotient)
     coeffs = list(coeffs)
     if len(coeffs) != len(pairings):
         raise ValueError("coefficient vector length does not match the pairing count")
-    if any(v != 0 for v in constraints.matvec(coeffs)):
+    if any(constraints.matvec(coeffs)):
         return False
     return not in_noncrossing_span(gram, nc_indices, coeffs)
 

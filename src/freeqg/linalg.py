@@ -1,51 +1,66 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra on plain Python ints.
 
-Fraction-free (Bareiss) elimination with first-nonzero pivoting: the output is
-deterministic, nothing is ever rounded, and intermediate entries stay integral
-for integer input.  Matrices in this project are small (a few hundred rows at
-most), so dense storage is fine.  Float entries are rejected outright.
+Forward elimination is fraction-free (Bareiss, Math. Comp. 22, 1968) with
+first-nonzero pivoting: each division by the previous pivot is exact, so `//`
+never rounds.  Back-substitution scales the unknowns by the last pivot, which
+by Cramer's rule keeps them integral.  Fractions appear only where a rational
+is the answer: the column-space certificate, and vectors handed to `matvec`
+or `in_column_space`.  Matrices here are small (a few hundred rows at most),
+so dense storage is fine.  Floats are rejected outright.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 __all__ = ["ExactMatrix"]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _as_int(x) -> int:
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact matrices take int or Fraction entries, got {type(x).__name__}")
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"exact matrices take integer entries, got {x!r}")
 
 
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    """Scale a rational vector to coprime integers with positive leading nonzero."""
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+def _as_exact(vec) -> list:
+    vec = list(vec)
+    for x in vec:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"exact vectors take int or Fraction entries, got {x!r}")
+    return vec
+
+
+def _primitive(vec: list[int]) -> list[int]:
+    """Divide a nonzero integer vector by the gcd of its entries, with the
+    sign chosen to make its leading nonzero positive."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return [v // g for v in vec]
+
+
+def _back_substitute(data, pivots, x: list[int], rhs: list[int]) -> list[int]:
+    """Fill x at each pivot (r, c), last pivot first, so that row r of the
+    echelon form `data` dotted with x equals rhs[r].  The divisions are exact
+    when the true solution is integral; callers re-check x by multiplication."""
+    n = len(x)
+    for r, c in reversed(pivots):
+        row = data[r]
+        x[c] = (rhs[r] - sum(map(mul, row[c + 1:n], x[c + 1:]))) // row[c]
+    return x
 
 
 class ExactMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of ints."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(_as_fraction(x) for x in row) for row in entries)
+        data = tuple(tuple(map(_as_int, row)) for row in entries)
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:
@@ -60,26 +75,11 @@ class ExactMatrix:
         self.cols = cols
         self._data = data
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int:
         return self._data[i][j]
 
-    def row_list(self) -> list[list[Fraction]]:
+    def row_list(self) -> list[list[int]]:
         return [list(row) for row in self._data]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.cols == other.cols
-            and self._data == other._data
-        )
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -95,22 +95,18 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
+        columns = other.transpose()._data
         return ExactMatrix(
-            [
-                [
-                    sum(self._data[i][k] * other._data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
+            [[sum(map(mul, row, col)) for col in columns] for row in self._data],
             cols=other.cols,
         )
 
-    def matvec(self, vec) -> list[Fraction]:
-        vec = [_as_fraction(x) for x in vec]
+    def matvec(self, vec) -> list:
+        """self @ vec; the entries are ints for an int vector, else Fractions."""
+        vec = _as_exact(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return [sum(row[k] * vec[k] for k in range(self.cols)) for row in self._data]
+        return [sum(map(mul, row, vec)) for row in self._data]
 
     def column_submatrix(self, indices) -> "ExactMatrix":
         indices = list(indices)
@@ -123,12 +119,14 @@ class ExactMatrix:
 
         Returns (data, pivots); pivots is the list of (row, col) positions,
         searched in column order with the first nonzero entry as pivot.  Rows
-        without a pivot end up identically zero.
+        without a pivot end up identically zero.  Each pivot is the
+        determinant of the square block of pivot rows and pivot columns up to
+        it, which is what makes the division by the previous pivot exact.
         """
         data = [list(row) for row in self._data]
         n_rows, n_cols = self.rows, self.cols
         pivots: list[tuple[int, int]] = []
-        prev = Fraction(1)
+        prev = 1
         r = 0
         for c in range(n_cols):
             if r == n_rows:
@@ -138,72 +136,71 @@ class ExactMatrix:
                 continue
             if hit != r:
                 data[r], data[hit] = data[hit], data[r]
-            piv = data[r][c]
-            row_r = data[r]
+            tail = data[r][c:]
+            piv = tail[0]
             for i in range(r + 1, n_rows):
-                f = data[i][c]
                 row_i = data[i]
-                # one-step Bareiss update; the division by the previous pivot
-                # is exact on integer input
-                for k in range(c, n_cols):
-                    row_i[k] = (row_i[k] * piv - f * row_r[k]) / prev
+                f = row_i[c]
+                row_i[c:] = [(a * piv - f * b) // prev for a, b in zip(row_i[c:], tail)]
             prev = piv
             pivots.append((r, c))
             r += 1
         return data, pivots
 
-    def rank(self) -> int:
-        return len(self._echelon()[1])
+    def pivot_columns(self) -> list[int]:
+        """Indices of the columns outside the span of the columns before them;
+        their count is the rank."""
+        return [c for _, c in self._echelon()[1]]
 
-    def nullspace_basis(self) -> list[list[Fraction]]:
+    def rank(self) -> int:
+        return len(self.pivot_columns())
+
+    def nullspace_basis(self) -> list[list[int]]:
         """Basis of the right kernel, one primitive integer vector per free column.
 
         Every returned vector is re-checked by multiplication.
         """
         data, pivots = self._echelon()
-        pivot_set = {c for _, c in pivots}
         basis = []
-        for free_col in range(self.cols):
-            if free_col in pivot_set:
+        t = 0  # pivots left of the current column
+        for free in range(self.cols):
+            if t < len(pivots) and pivots[t][1] == free:
+                t += 1
                 continue
-            x = [Fraction(0)] * self.cols
-            x[free_col] = Fraction(1)
-            for r, c in reversed(pivots):
-                s = sum(data[r][k] * x[k] for k in range(c + 1, self.cols))
-                x[c] = -s / data[r][c]
-            basis.append(_primitive(x))
+            x = [0] * self.cols
+            x[free] = data[t - 1][pivots[t - 1][1]] if t else 1
+            basis.append(_primitive(_back_substitute(data, pivots[:t], x, [0] * t)))
         for x in basis:
-            assert all(v == 0 for v in self.matvec(x)), "kernel vector fails verification"
+            if any(self.matvec(x)):
+                raise AssertionError("kernel vector fails verification")
         return basis
 
-    def left_nullspace_basis(self) -> list[list[Fraction]]:
+    def left_nullspace_basis(self) -> list[list[int]]:
         """Row vectors y with y @ self == 0 (basis of the cokernel)."""
         return self.transpose().nullspace_basis()
 
     def in_column_space(self, vec) -> tuple[bool, list[Fraction] | None]:
-        """Decide exactly whether vec lies in the column space.
+        """Decide exactly whether vec (ints or Fractions) lies in the column space.
 
-        Returns (True, x) with self @ x == vec, or (False, None).  The
-        certificate x is re-checked by multiplication before returning.
+        Returns (True, x) with self @ x == vec and x a list of Fractions, or
+        (False, None).  The certificate x is re-checked by multiplication
+        before returning.
         """
-        vec = [_as_fraction(x) for x in vec]
+        vec = _as_exact(vec)
         if len(vec) != self.rows:
             raise ValueError(f"vector length {len(vec)} does not match {self.rows} rows")
-        if self.rows == 0:
-            return True, [Fraction(0)] * self.cols
+        scale = lcm(*(v.denominator for v in vec))
         aug = ExactMatrix(
-            [list(row) + [v] for row, v in zip(self._data, vec)], cols=self.cols + 1
+            [row + (v.numerator * (scale // v.denominator),) for row, v in zip(self._data, vec)],
+            cols=self.cols + 1,
         )
         data, pivots = aug._echelon()
-        if any(c == self.cols for _, c in pivots):
+        if pivots and pivots[-1][1] == self.cols:
             return False, None
-        x = [Fraction(0)] * self.cols
-        for r, c in reversed(pivots):
-            s = sum(data[r][k] * x[k] for k in range(c + 1, self.cols))
-            x[c] = (data[r][self.cols] - s) / data[r][c]
-        assert self.matvec(x) == vec, "column space certificate fails verification"
+        last = data[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+        rhs = [last * data[r][self.cols] for r, _ in pivots]
+        x = _back_substitute(data, pivots, [0] * self.cols, rhs)
+        x = [Fraction(v, last * scale) for v in x]
+        if self.matvec(x) != vec:
+            raise AssertionError("column space certificate fails verification")
         return True, x
-
-    def to_json(self) -> list[list[str]]:
-        """Entries as exact 'p/q' strings, row-major."""
-        return [[str(x) for x in row] for row in self._data]

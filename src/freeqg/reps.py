@@ -138,8 +138,8 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     """
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 9:
+        raise ValueError(f"n must be between 1 and 9, got {n}")
     letter = "u" if family == "A" else "v"
     tokens = _tokenize(text)
     if not tokens:

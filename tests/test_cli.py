@@ -88,6 +88,14 @@ def test_bad_qgi_threads_is_usage_error(capsys, monkeypatch):
     assert "QGI_THREADS" in captured.err
 
 
+def test_fullness_negative_max_len_is_usage_error(capsys):
+    code = main(["fullness", "--max-len", "-2", "--n", "2", "--dw", "1", "--du", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--max-len" in captured.err
+
+
 def test_fusion_json(capsys):
     code, report = run_json(capsys, ["fusion", "--left", "uU", "--right", "uU"])
     assert code == 0
@@ -153,6 +161,14 @@ def test_poly_parse_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+
+
+def test_separate_rejects_n_above_nine(capsys):
+    code = main(["separate", "--poly", "u11 u12 - u12 u11", "--n", "10", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "between 1 and 9" in captured.err
 
 
 def test_console_module_invocation():

@@ -8,6 +8,7 @@ from freeqg.coinvariants import (
     AmbientSpec,
     QuotientSpec,
     RealizationTooLarge,
+    _first_outside_span,
     fullness_system,
     gram_matrix,
     gram_matrix_colored,
@@ -16,10 +17,10 @@ from freeqg.coinvariants import (
     joint_fullness,
     nc_rank,
     realize_functional,
-    restriction,
     verdict_json,
     verify_witness,
 )
+from freeqg.linalg import ExactMatrix
 from freeqg.words import (
     Block,
     Pairing,
@@ -179,12 +180,6 @@ def test_nc_rank_values():
     assert nc_rank(parse_word("uUuU"), AmbientSpec(1)) == 1
 
 
-def test_restriction():
-    nested = Pairing(((1, 4), (2, 3)))
-    assert restriction(nested, parse_coloring("WUUW")) == nested
-    assert restriction(nested, parse_coloring("WUUU")) is None
-
-
 def test_fullness_system_shapes():
     word = parse_word("uuUU")
     pairings, nc_indices, gram, constraints = fullness_system(
@@ -221,6 +216,40 @@ def test_in_noncrossing_span_kernel_vectors_pass():
     assert gram.row_list() == [[1, 1], [1, 1]]
     assert in_noncrossing_span(gram, [0, 1], [1, -1])
     assert in_noncrossing_span(gram, [0], [1, -1])
+
+
+def test_in_noncrossing_span_fraction_coefficients():
+    # rational coefficients, as read back from a witness's "p/q" strings
+    word = parse_word("uuUU")
+    pairings = enumerate_pairings(word)
+    ncs = set(enumerate_noncrossing(word))
+    nc_indices = [i for i, p in enumerate(pairings) if p in ncs]
+    gram = gram_matrix(pairings, word, AmbientSpec(3))
+    nested = [Fraction(0) if i not in nc_indices else Fraction(-2, 7) for i in range(2)]
+    crossing = [Fraction(5, 3) if i not in nc_indices else Fraction(1, 2) for i in range(2)]
+    assert in_noncrossing_span(gram, nc_indices, nested)
+    assert not in_noncrossing_span(gram, nc_indices, crossing)
+
+
+@pytest.mark.parametrize(
+    "vectors,first",
+    [
+        # v1 inside, v2 outside, v3 = v1 + v2 outside too: v2 is the first
+        ([[1, 2, 0, 0], [0, 0, 1, 0], [1, 2, 1, 0]], 1),
+        # v2 repeats v1, so only v1 takes a pivot
+        ([[0, 0, 0, 3], [0, 0, 0, 3], [2, 0, 0, 0]], 0),
+        # v1 and v2 inside, v3 outside
+        ([[1, 0, 0, 0], [3, 5, 0, 0], [0, 1, 1, 1]], 2),
+        ([[1, 0, 0, 0], [3, 5, 0, 0], [-2, 7, 0, 0]], None),
+    ],
+)
+def test_first_outside_span_picks_first_image_outside(vectors, first):
+    # the rule joint_fullness applies to [nc_gram | images], on a synthetic
+    # block N spanning the first two coordinates
+    block = ExactMatrix([[1, 1], [0, 2], [0, 0], [0, 0]])
+    assert _first_outside_span(block, vectors) == first
+    membership = [block.in_column_space(v)[0] for v in vectors]
+    assert first == next((i for i, ok in enumerate(membership) if not ok), None)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -28,18 +33,21 @@ def test_floats_rejected():
         ExactMatrix([[1.5]])
     with pytest.raises(TypeError):
         ExactMatrix([[1, 2]]).matvec([0.5, 1])
-
-
-def test_fraction_entries_kept_exact():
-    m = ExactMatrix([[Fraction(1, 3), 1]])
-    assert m.entry(0, 0) == Fraction(1, 3)
-    assert m.matvec([3, 1]) == [Fraction(2)]
+    # matrices hold integers only; a rational entry is rejected like a float
+    with pytest.raises(TypeError):
+        ExactMatrix([[Fraction(1, 3), 1]])
+    m = ExactMatrix([[Fraction(6, 2), 1]])
+    assert type(m.entry(0, 0)) is int and m.entry(0, 0) == 3
+    assert m.matvec([Fraction(1, 3), 1]) == [Fraction(2)]
 
 
 def test_identity_and_zeros():
-    assert ExactMatrix.identity(4).rank() == 4
-    assert ExactMatrix.zeros(3, 5).rank() == 0
-    assert ExactMatrix.zeros(3, 5).nullspace_basis() == [
+    identity = ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert identity.rank() == 4
+    assert identity.nullspace_basis() == []
+    zeros = ExactMatrix([[0] * 5 for _ in range(3)])
+    assert zeros.rank() == 0
+    assert zeros.nullspace_basis() == [
         [1, 0, 0, 0, 0],
         [0, 1, 0, 0, 0],
         [0, 0, 1, 0, 0],
@@ -84,14 +92,53 @@ def test_nullspace_matches_sympy_dimension_and_is_integral():
         basis = m.nullspace_basis()
         assert len(basis) == cols - m.rank()
         assert len(basis) == len(sympy.Matrix(entries).nullspace())
-        for vec in basis:
-            assert all(v.denominator == 1 for v in vec)
-            assert all(x == 0 for x in m.matvec(vec))
-            lead = next((v for v in vec if v), 0)
-            assert lead > 0
-        # basis vectors are independent: stacking them keeps full rank
-        if basis:
-            assert ExactMatrix(basis, cols=cols).rank() == len(basis)
+        check_kernel_basis(m, basis)
+
+
+def check_kernel_basis(m, basis):
+    """Primitive int vectors with a positive lead, in the kernel, independent."""
+    for vec in basis:
+        assert all(type(v) is int for v in vec)
+        assert gcd(*vec) == 1
+        assert next(v for v in vec if v) > 0
+        assert not any(m.matvec(vec))
+    # basis vectors are independent: stacking them keeps full rank
+    if basis:
+        assert ExactMatrix(basis, cols=m.cols).rank() == len(basis)
+
+
+def test_large_entries_match_sympy():
+    rng = random.Random(1968)
+    big = 10**20
+    for _ in range(12):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        entries = random_int_matrix(rng, rows, cols, -big, big)
+        # copy a combination of rows so that some kernels are not forced
+        if rows > 2:
+            entries[-1] = [a * 3 - b * 7 for a, b in zip(entries[0], entries[1])]
+        m = ExactMatrix(entries)
+        theirs = sympy.Matrix(entries)
+        assert m.rank() == theirs.rank()
+        basis = m.nullspace_basis()
+        assert len(basis) == len(theirs.nullspace())
+        check_kernel_basis(m, basis)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(12, 5, 9), (9, 5, 12), (8, 3, 8), (6, 1, 7)])
+def test_rank_deficient_products_match_sympy(rows, inner, cols):
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+    left = ExactMatrix(random_int_matrix(rng, rows, inner, -10**6, 10**6))
+    right = ExactMatrix(random_int_matrix(rng, inner, cols, -10**6, 10**6))
+    m = left @ right
+    theirs = sympy.Matrix(m.row_list())
+    assert m.rank() == theirs.rank() == inner
+    basis = m.nullspace_basis()
+    assert len(basis) == cols - inner == len(theirs.nullspace())
+    check_kernel_basis(m, basis)
+    left_basis = m.left_nullspace_basis()
+    assert len(left_basis) == rows - inner
+    check_kernel_basis(m.transpose(), left_basis)
 
 
 def test_left_nullspace():
@@ -148,6 +195,58 @@ def test_zero_row_and_zero_column_edges():
     assert no_cols.in_column_space([1, 0]) == (False, None)
 
 
-def test_to_json_exact_strings():
-    m = ExactMatrix([[Fraction(1, 2), 3]])
-    assert m.to_json() == [["1/2", "3"]]
+SELF_CHECKS_UNDER_O = """
+import sys
+from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness
+from freeqg.linalg import ExactMatrix
+from freeqg.words import parse_word
+
+if __debug__:
+    sys.exit("not running under python -O")
+
+
+def expect_raise(label, call):
+    try:
+        call()
+    except AssertionError as exc:
+        print(label, exc)
+    else:
+        print(label, "did not raise")
+
+
+echelon = ExactMatrix._echelon
+
+
+def corrupted(self):
+    data, pivots = echelon(self)
+    data[0][-1] += 1
+    return data, pivots
+
+
+ExactMatrix._echelon = corrupted
+expect_raise("kernel", lambda: ExactMatrix([[1, 2]]).nullspace_basis())
+expect_raise("certificate", lambda: ExactMatrix([[2, 0], [0, 3]]).in_column_space([1, 1]))
+ExactMatrix._echelon = echelon
+# a pivot claimed in every column makes the first image look outside the span
+ExactMatrix.pivot_columns = lambda self: list(range(self.cols))
+expect_raise(
+    "witness",
+    lambda: joint_fullness(parse_word("uuUU"), AmbientSpec(2), QuotientSpec(1, 1)),
+)
+"""
+
+
+def test_self_checks_survive_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECKS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "kernel kernel vector fails verification",
+        "certificate column space certificate fails verification",
+        "witness witness fails re-verification",
+    ]
