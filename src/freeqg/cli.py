@@ -6,7 +6,10 @@ shapes live in the schemas/ directory of the source tree.  CSV output (where
 offered) prints plain delimited rows without the envelope.
 
 Exit codes: 0 when the asserted checks pass, 1 when a check fails (suppressed
-by --explore), 2 on usage or parse errors.
+by --explore), 2 on usage or parse errors, 3 when an exact result fails its
+own re-verification (VerificationError, an internal fault), 4 when a worker
+process of a fullness sweep dies (BrokenProcessPool).  Codes 3 and 4 print one
+`error:` line on stderr and nothing on stdout.
 
 The environment variable QGI_THREADS controls worker processes for fullness
 sweeps: unset means serial, 0 means one worker per CPU, any other value is
@@ -22,16 +25,19 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .coinvariants import AmbientSpec, QuotientSpec, joint_fullness, nc_rank, verdict_json
 from .fusion import dimension, fuse
+from .linalg import VerificationError
 from .reps import PolyParseError, SeparationStrategy, parse_poly, separate
 from .words import (
     WordParseError,
     balanced_words,
     enumerate_noncrossing,
     enumerate_pairings,
+    orbit_key,
     parse_word,
 )
 
@@ -88,12 +94,26 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
     else:
         words = balanced_words(args.max_len)
     tasks = [(str(w), ambient.n, quotient.d_w, quotient.d_u) for w in words]
+    # one verdict per symmetry orbit, decided on its first word
+    orbits: dict[str, list[int]] = {}
+    for i, word in enumerate(words):
+        orbits.setdefault(orbit_key(word), []).append(i)
+    representatives = [tasks[members[0]] for members in orbits.values()]
     workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(representatives) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(_fullness_task, tasks))
+            decided = list(pool.map(_fullness_task, representatives))
     else:
-        verdicts = [_fullness_task(task) for task in tasks]
+        decided = [_fullness_task(task) for task in representatives]
+    verdicts: list = [None] * len(tasks)
+    for members, verdict in zip(orbits.values(), decided):
+        verdicts[members[0]] = verdict
+        for i in members[1:]:
+            # a witness is in its own word's pairing coordinates, so the
+            # members of a failing orbit are decided one by one
+            verdicts[i] = (
+                dict(verdict, word=tasks[i][0]) if verdict["holds"] else _fullness_task(tasks[i])
+            )
     all_hold = all(v["holds"] for v in verdicts)
     parameters = {
         "word": args.word,
@@ -229,6 +249,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 4
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if getattr(args, "format", "json") == "csv":
         writer = csv.writer(sys.stdout)

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, VerificationError
 from .words import (
     Block,
     Coloring,
     Letter,
     Pairing,
     Word,
-    enumerate_colorings,
+    block_balanced_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
@@ -264,7 +264,8 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     pairings lies in the column space of the corresponding Gram columns, iff
     the cokernel of those columns annihilates it.  This is exact because the
     inner product comes from genuine real vectors, hence is positive
-    semidefinite on the span.
+    semidefinite on the span.  Colorings without a block-respecting pairing
+    constrain nothing, so only block-balanced ones are scanned.
     """
     if ambient.n != quotient.n:
         raise ValueError(
@@ -276,10 +277,8 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     nc_index_set = set(nc_indices)
     gram = gram_matrix(pairings, word, ambient)
     constraint_rows = []
-    for coloring in enumerate_colorings(word):
+    for coloring in block_balanced_colorings(word):
         sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
-        if not sel:
-            continue
         colored = [pairings[i] for i in sel]
         colored_gram = gram_matrix_colored(colored, word, coloring, quotient)
         nc_local = [k for k, i in enumerate(sel) if i in nc_index_set]
@@ -346,7 +345,7 @@ def joint_fullness(
         return FullnessVerdict(True, len(solution), None)
     witness = tuple(solution[first])
     if not verify_witness(word, ambient, quotient, witness):
-        raise AssertionError("witness fails re-verification")
+        raise VerificationError("witness fails re-verification")
     return FullnessVerdict(False, len(solution), witness)
 
 

@@ -15,7 +15,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-__all__ = ["ExactMatrix"]
+__all__ = ["ExactMatrix", "VerificationError"]
+
+
+class VerificationError(AssertionError):
+    """An exact result failed its re-check: an internal fault, not bad input."""
 
 
 def _as_int(x) -> int:
@@ -172,7 +176,7 @@ class ExactMatrix:
             basis.append(_primitive(_back_substitute(data, pivots[:t], x, [0] * t)))
         for x in basis:
             if any(self.matvec(x)):
-                raise AssertionError("kernel vector fails verification")
+                raise VerificationError("kernel vector fails verification")
         return basis
 
     def left_nullspace_basis(self) -> list[list[int]]:
@@ -202,5 +206,5 @@ class ExactMatrix:
         x = _back_substitute(data, pivots, [0] * self.cols, rhs)
         x = [Fraction(v, last * scale) for v in x]
         if self.matvec(x) != vec:
-            raise AssertionError("column space certificate fails verification")
+            raise VerificationError("column space certificate fails verification")
         return True, x

@@ -32,9 +32,11 @@ __all__ = [
     "is_noncrossing",
     "enumerate_noncrossing",
     "enumerate_colorings",
+    "block_balanced_colorings",
     "is_block_respecting",
     "loop_decomposition",
     "balanced_words",
+    "orbit_key",
 ]
 
 
@@ -88,9 +90,6 @@ class Word:
     def positions(self, letter: Letter) -> tuple[int, ...]:
         """1-based positions carrying the given letter."""
         return tuple(i for i, cur in enumerate(self.letters, start=1) if cur is letter)
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
 
 
 def parse_word(text: str) -> Word:
@@ -254,6 +253,21 @@ def enumerate_colorings(word: Word) -> list[Coloring]:
     ]
 
 
+def block_balanced_colorings(word: Word) -> list[Coloring]:
+    """The colorings in which each block holds as many V as V* slots, in the
+    order of enumerate_colorings: exactly those admitting a block-respecting
+    pairing."""
+    signs = [1 if letter is Letter.PLAIN else -1 for letter in word.letters]
+    return [
+        coloring
+        for coloring in enumerate_colorings(word)
+        if all(
+            sum(s for s, b in zip(signs, coloring.blocks) if b is block) == 0
+            for block in Block
+        )
+    ]
+
+
 def is_block_respecting(p: Pairing, coloring: Coloring) -> bool:
     """True when every arc stays inside a single block of the coloring."""
     if p.n_positions != len(coloring):
@@ -308,3 +322,12 @@ def balanced_words(max_len: int) -> list[Word]:
             if 2 * sum(letter is Letter.PLAIN for letter in letters) == length:
                 words.append(Word(letters))
     return words
+
+
+def orbit_key(word: Word) -> str:
+    """Least string among the word's rotations, reversal and u<->U swap, in
+    any combination.  These maps preserve pairings, non-crossingness and loop
+    counts, so fullness verdicts are constant on an orbit."""
+    text = str(word)
+    images = (text, text[::-1], text.swapcase(), text[::-1].swapcase())
+    return min(w[r:] + w[:r] for w in images for r in range(len(w) or 1))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from freeqg import cli
 from freeqg.cli import main
+from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness, verdict_json
+from freeqg.linalg import ExactMatrix
+from freeqg.words import balanced_words, orbit_key, parse_word
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -72,12 +77,86 @@ def test_fullness_sweep_csv(capsys):
 
 
 def test_fullness_parallel_matches_serial(capsys, monkeypatch):
-    argv = ["fullness", "--max-len", "4", "--n", "2", "--dw", "1", "--du", "1"]
+    argv = ["fullness", "--max-len", "6", "--n", "2", "--dw", "1", "--du", "1"]
     monkeypatch.delenv("QGI_THREADS", raising=False)
     _, serial = run_json(capsys, argv)
     monkeypatch.setenv("QGI_THREADS", "2")
     _, parallel = run_json(capsys, argv)
     assert serial["result"] == parallel["result"]
+
+
+@pytest.mark.parametrize("n, d_w, d_u", [(4, 2, 2), (5, 4, 1)])
+def test_orbit_sweep_matches_per_word_verdicts(capsys, monkeypatch, n, d_w, d_u):
+    monkeypatch.delenv("QGI_THREADS", raising=False)
+    argv = ["fullness", "--max-len", "8", "--n", str(n), "--dw", str(d_w), "--du", str(d_u)]
+    code, report = run_json(capsys, argv)
+    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
+    expected = [
+        verdict_json(w, ambient, quotient, joint_fullness(w, ambient, quotient))
+        for w in balanced_words(8)
+    ]
+    assert code == 0
+    assert report["result"]["verdicts"] == expected
+
+
+def test_failing_orbit_is_decided_word_by_word(capsys, monkeypatch):
+    decide = cli._fullness_task
+    failing_key = orbit_key(parse_word("uuUU"))
+    witnesses = {}
+
+    def fake(task):
+        verdict = decide(task)
+        if orbit_key(parse_word(task[0])) == failing_key:
+            witnesses[task[0]] = [str(len(witnesses) + 1)]
+            verdict.update(holds=False, witness=witnesses[task[0]])
+        else:
+            witnesses[task[0]] = None
+        return verdict
+
+    monkeypatch.setattr(cli, "_fullness_task", fake)
+    monkeypatch.delenv("QGI_THREADS", raising=False)
+    code, report = run_json(
+        capsys, ["fullness", "--max-len", "4", "--n", "2", "--dw", "1", "--du", "1"]
+    )
+    verdicts = report["result"]["verdicts"]
+    assert code == 1
+    assert [v["word"] for v in verdicts] == [str(w) for w in balanced_words(4)]
+    # one call per holding orbit, one per member of the failing orbit
+    assert list(witnesses) == ["", "uU", "uuUU", "uUuU", "uUUu", "UuuU", "UUuu"]
+    for v in verdicts:
+        if v["word"] in ("uuUU", "uUUu", "UuuU", "UUuu"):
+            assert v["holds"] is False
+            assert v["witness"] == witnesses[v["word"]]
+        else:
+            assert v["holds"] is True
+            assert v["witness"] is None
+
+
+def test_failed_self_check_exits_3(capsys, monkeypatch):
+    # e_0 is the functional of the crossing pairing of uuUU: outside the
+    # non-crossing span, and off the constraint kernel, so the witness
+    # re-check rejects it
+    monkeypatch.setattr(ExactMatrix, "nullspace_basis", lambda self: [[1] + [0] * (self.cols - 1)])
+    code = main(["fullness", "--word", "uuUU", "--n", "4", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: self-check failed: witness fails re-verification"]
+
+
+def _die(task):
+    os._exit(1)
+
+
+def test_worker_crash_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_fullness_task", _die)
+    monkeypatch.setenv("QGI_THREADS", "2")
+    code = main(["fullness", "--max-len", "4", "--n", "2", "--dw", "1", "--du", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: a worker process died")
 
 
 def test_bad_qgi_threads_is_usage_error(capsys, monkeypatch):

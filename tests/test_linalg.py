@@ -198,7 +198,7 @@ def test_zero_row_and_zero_column_edges():
 SELF_CHECKS_UNDER_O = """
 import sys
 from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness
-from freeqg.linalg import ExactMatrix
+from freeqg.linalg import ExactMatrix, VerificationError
 from freeqg.words import parse_word
 
 if __debug__:
@@ -208,7 +208,7 @@ if __debug__:
 def expect_raise(label, call):
     try:
         call()
-    except AssertionError as exc:
+    except VerificationError as exc:
         print(label, exc)
     else:
         print(label, "did not raise")

@@ -11,12 +11,14 @@ from freeqg.words import (
     Word,
     WordParseError,
     balanced_words,
+    block_balanced_colorings,
     enumerate_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
     is_noncrossing,
     loop_decomposition,
+    orbit_key,
     parse_coloring,
     parse_word,
 )
@@ -144,6 +146,23 @@ def test_enumerate_colorings_order_and_count():
     assert len(enumerate_colorings(parse_word("uUuU"))) == 16
 
 
+def test_block_balanced_colorings_are_those_with_a_block_respecting_pairing():
+    for word in balanced_words(6):
+        pairings = enumerate_pairings(word)
+        usable = [
+            c
+            for c in enumerate_colorings(word)
+            if any(is_block_respecting(p, c) for p in pairings)
+        ]
+        assert block_balanced_colorings(word) == usable
+
+
+def test_block_balanced_colorings_frozen_example():
+    colorings = block_balanced_colorings(parse_word("uUuU"))
+    assert [str(c) for c in colorings] == ["WWWW", "WWUU", "WUUW", "UWWU", "UUWW", "UUUU"]
+    assert block_balanced_colorings(parse_word("uu")) == []
+
+
 def test_parse_coloring():
     assert parse_coloring("WUW").blocks == (Block.W, Block.U, Block.W)
     with pytest.raises(ValueError):
@@ -211,3 +230,40 @@ def test_balanced_words_counts():
     for w in balanced_words(8):
         by_len[len(w)] = by_len.get(len(w), 0) + 1
     assert by_len == {0: 1, 2: 2, 4: 6, 6: 20, 8: 70}
+
+
+def orbit_by_group(text):
+    """The orbit of a word under rotations, reversal and u<->U swap, generated
+    by closing {text} under the three maps one step at a time."""
+    swap = {"u": "U", "U": "u"}
+    orbit, frontier = {text}, [text]
+    while frontier:
+        w = frontier.pop()
+        for image in (w[1:] + w[:1], w[::-1], "".join(swap[c] for c in w)):
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def test_orbit_counts_by_length():
+    words = balanced_words(10)
+    counts = {}
+    for length in range(0, 11, 2):
+        counts[length] = len({orbit_key(w) for w in words if len(w) == length})
+    assert counts == {0: 1, 2: 1, 4: 2, 6: 3, 8: 7, 10: 13}
+
+
+def test_orbit_sizes_at_length_six():
+    sizes = {}
+    for word in (w for w in balanced_words(6) if len(w) == 6):
+        key = orbit_key(word)
+        sizes[key] = sizes.get(key, 0) + 1
+    assert sorted(sizes.values()) == [2, 6, 12]
+
+
+def test_orbit_key_is_the_least_member_of_its_orbit():
+    for word in balanced_words(8):
+        orbit = orbit_by_group(str(word))
+        assert orbit_key(word) == min(orbit)
+        assert all(orbit_key(parse_word(member)) == orbit_key(word) for member in orbit)
