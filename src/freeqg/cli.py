@@ -31,15 +31,8 @@ from . import __version__
 from .coinvariants import AmbientSpec, QuotientSpec, joint_fullness, nc_rank, verdict_json
 from .fusion import dimension, fuse
 from .linalg import VerificationError
-from .reps import PolyParseError, SeparationStrategy, parse_poly, separate
-from .words import (
-    WordParseError,
-    balanced_words,
-    enumerate_noncrossing,
-    enumerate_pairings,
-    orbit_key,
-    parse_word,
-)
+from .reps import SeparationStrategy, parse_poly, separate
+from .words import balanced_words, enumerate_noncrossing, enumerate_pairings, orbit_key, parse_word
 
 __all__ = ["main", "entrypoint"]
 
@@ -54,9 +47,7 @@ def _worker_count() -> int:
         raise ValueError(f"QGI_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"QGI_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    return value or os.cpu_count() or 1
 
 
 def _fullness_task(task: tuple[str, int, int, int]) -> dict:
@@ -99,8 +90,9 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
     for i, word in enumerate(words):
         orbits.setdefault(orbit_key(word), []).append(i)
     representatives = [tasks[members[0]] for members in orbits.values()]
-    workers = _worker_count()
-    if workers > 1 and len(representatives) > 1:
+    # a fork pool starts all its workers at once, so start no idle ones
+    workers = min(_worker_count(), len(representatives))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             decided = list(pool.map(_fullness_task, representatives))
     else:
@@ -124,14 +116,7 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
     result = {"verdicts": verdicts, "all_hold": all_hold}
     rows = [["word", "n", "d_w", "d_u", "holds", "solution_dim"]]
     rows += [
-        [
-            v["word"],
-            v["n"],
-            v["quotient"][0],
-            v["quotient"][1],
-            "true" if v["holds"] else "false",
-            v["solution_dim"],
-        ]
+        [v["word"], v["n"], *v["quotient"], "true" if v["holds"] else "false", v["solution_dim"]]
         for v in verdicts
     ]
     return parameters, result, all_hold, rows
@@ -160,16 +145,8 @@ def cmd_separate(args) -> tuple[dict, dict, bool, list | None]:
     poly = parse_poly(args.poly, args.n, args.family)
     strategy = SeparationStrategy(args.strategy, args.d)
     witness = separate(poly, strategy, trials=args.trials, seed=args.seed, tol=args.tol)
-    parameters = {
-        "poly": args.poly,
-        "n": args.n,
-        "family": args.family,
-        "strategy": args.strategy,
-        "d": args.d,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    keys = ("poly", "n", "family", "strategy", "d", "trials", "seed", "tol")
+    parameters = {key: getattr(args, key) for key in keys}
     if witness is None:
         return parameters, {"found": False, "trials": args.trials}, False, None
     result = {
@@ -243,10 +220,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         parameters, result, ok, rows = args.handler(args)
-    except (WordParseError, PolyParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # parse errors of words and polynomials included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

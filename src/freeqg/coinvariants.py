@@ -5,9 +5,12 @@ A pairing p of a word defines a functional T_p on the word's tensor space by
 a product of Kronecker deltas along the arcs.  Inner products of these
 functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
-size of the block it stays in.  Every Gram entry is a product of powers of
-n, d_w and d_u, so all span and rank questions are settled exactly by integer
-elimination; floats never enter.
+size of the block it stays in.  One routine builds every Gram matrix: it walks
+the overlay of each pair of pairings at most once, on plain integer lists, and
+the ambient and colored matrices differ only in how they weigh its loops, so
+fullness_system weighs one walk of all pairs for the ambient matrix and every
+coloring.  Every Gram entry is a product of powers of n, d_w and d_u, so all
+span and rank questions are settled exactly by integer elimination.
 
 Two independent routes to the same geometry are kept side by side on purpose:
 loop counting produces Gram entries combinatorially, while realize_functional
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .words import (
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
-    loop_decomposition,
 )
 
 __all__ = [
@@ -104,21 +107,59 @@ class FullnessVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
-    """Gram matrix of pairing functionals: entry (i, j) is n^loops(p_i, p_j)."""
-    pairings = list(pairings)
+def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> ExactMatrix:
+    """Symmetric matrix of weight(mask) over all pairs of pairings (which must
+    respect the coloring, if given); mask has one bit per loop of the overlay
+    of p_i and p_j, at the 0-based position of the loop's least V slot.  With
+    V slot s joined to V* slot fwd[s] and V* slot t to V slot back[t], the
+    loops follow the cycles of sigma = back_q o fwd_p, so each distinct sigma
+    is walked once and every pair with that sigma shares its weight."""
+    if coloring is not None and len(coloring) != len(word):
+        raise ValueError("coloring length does not match word length")
+    plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
+    slot = {pos: s for side in (plain, star) for s, pos in enumerate(side)}
+    fwd, back = [], []
     for p in pairings:
         if not p.is_pairing_of(word):
             raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
+        if coloring is not None and not is_block_respecting(p, coloring):
+            raise ValueError(f"{p} does not respect the coloring {coloring!s}")
+        partner = p.partner()
+        fwd.append([slot[partner[x]] for x in plain])
+        back.append([slot[partner[y]] for y in star])
+    rows = [[0] * len(fwd) for _ in fwd]
+    weights: dict = {}
+    for i, f in enumerate(fwd):
+        compose = itemgetter(*f) if f else tuple
+        for j in range(i, len(fwd)):
+            sigma = compose(back[j])
+            value = weights.get(sigma)
+            if value is None:
+                b, mask, seen = back[j], 0, 0
+                for start in range(len(f)):
+                    if not seen >> start & 1:
+                        mask |= 1 << plain[start] - 1
+                        s = start
+                        while not seen >> s & 1:
+                            seen |= 1 << s
+                            s = b[f[s]]
+                value = weights[sigma] = weight(mask)
+            rows[i][j] = rows[j][i] = value
+    return ExactMatrix(rows, cols=len(rows))
+
+
+def _colored_weight(coloring: Coloring, quotient: QuotientSpec):
+    """Loop weight d_w or d_u by block.  Exact for block-respecting pairings:
+    each of their loops stays in one block, the block of its least V slot."""
+    wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
+    d_w, d_u = quotient.d_w, quotient.d_u
+    return lambda mask: d_w ** (mask & wmask).bit_count() * d_u ** (mask & ~wmask).bit_count()
+
+
+def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
+    """Gram matrix of pairing functionals: entry (i, j) is n^loops(p_i, p_j)."""
     n = ambient.n
-    size = len(pairings)
-    entries = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            value = n ** loop_decomposition(pairings[i], pairings[j]).count
-            entries[i][j] = value
-            entries[j][i] = value
-    return ExactMatrix(entries, cols=size)
+    return _loop_gram(pairings, word, lambda mask: n ** mask.bit_count())
 
 
 def gram_matrix_colored(
@@ -129,25 +170,7 @@ def gram_matrix_colored(
     All pairings must respect the coloring; entry (i, j) is
     d_w^(W loops) * d_u^(U loops) of the overlay of p_i and p_j.
     """
-    pairings = list(pairings)
-    if len(coloring) != len(word):
-        raise ValueError("coloring length does not match word length")
-    for p in pairings:
-        if not p.is_pairing_of(word):
-            raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
-        if not is_block_respecting(p, coloring):
-            raise ValueError(f"{p} does not respect the coloring {coloring!s}")
-    size = len(pairings)
-    entries = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            dec = loop_decomposition(pairings[i], pairings[j], coloring)
-            value = quotient.d_w ** dec.count_in(Block.W) * quotient.d_u ** dec.count_in(
-                Block.U
-            )
-            entries[i][j] = value
-            entries[j][i] = value
-    return ExactMatrix(entries, cols=size)
+    return _loop_gram(pairings, word, _colored_weight(coloring, quotient), coloring)
 
 
 def realize_functional(
@@ -268,19 +291,20 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     constrain nothing, so only block-balanced ones are scanned.
     """
     if ambient.n != quotient.n:
-        raise ValueError(
-            f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}"
-        )
+        raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
     pairings = enumerate_pairings(word)
     nc_set = set(enumerate_noncrossing(word))
     nc_indices = [i for i, p in enumerate(pairings) if p in nc_set]
     nc_index_set = set(nc_indices)
-    gram = gram_matrix(pairings, word, ambient)
+    # the loops of every pair, walked once and reused by every coloring
+    masks = _loop_gram(pairings, word, lambda mask: mask).row_list()
+    n = ambient.n
+    gram = ExactMatrix([[n ** m.bit_count() for m in row] for row in masks], cols=len(pairings))
     constraint_rows = []
     for coloring in block_balanced_colorings(word):
         sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
-        colored = [pairings[i] for i in sel]
-        colored_gram = gram_matrix_colored(colored, word, coloring, quotient)
+        weight = _colored_weight(coloring, quotient)
+        colored_gram = ExactMatrix([[weight(masks[a][b]) for b in sel] for a in sel], cols=len(sel))
         nc_local = [k for k, i in enumerate(sel) if i in nc_index_set]
         cokernel = colored_gram.column_submatrix(nc_local).left_nullspace_basis()
         if not cokernel:

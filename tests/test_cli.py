@@ -159,6 +159,38 @@ def test_worker_crash_exits_4(capsys, monkeypatch):
     assert captured.err.startswith("error: a worker process died")
 
 
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("max_len, orbits", [(0, 1), (2, 2), (4, 4)])
+def test_pool_has_no_more_workers_than_orbits(capsys, monkeypatch, max_len, orbits):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setenv("QGI_THREADS", "64")
+    argv = ["fullness", "--max-len", str(max_len), "--n", "2", "--dw", "1", "--du", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert len(report["result"]["verdicts"]) == len(balanced_words(max_len))
+    # a single orbit is decided serially, without a pool
+    assert _RecordingPool.sizes == ([] if orbits == 1 else [orbits])
+
+
 def test_bad_qgi_threads_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QGI_THREADS", "lots")
     code = main(["fullness", "--word", "uU", "--n", "2", "--dw", "1", "--du", "1"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +26,12 @@ from freeqg.words import (
     Block,
     Pairing,
     balanced_words,
+    block_balanced_colorings,
     enumerate_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
+    loop_decomposition,
     parse_coloring,
     parse_word,
 )
@@ -146,6 +149,41 @@ def test_colored_gram_matches_dense_realization(text, quotient):
         for i, vi in enumerate(vectors):
             for j, vj in enumerate(vectors):
                 assert int(np.dot(vi, vj)) == gram.entry(i, j), (str(coloring), i, j)
+
+
+@pytest.mark.parametrize("text", [str(w) for w in balanced_words(8)])
+def test_gram_matrices_match_loop_decomposition(text):
+    """Both Gram routines, entry by entry, against the loop-count formula."""
+    word = parse_word(text)
+    pairings = enumerate_pairings(word)
+    grams = {n: gram_matrix(pairings, word, AmbientSpec(n)) for n in (2, 3, 5)}
+    for i, p in enumerate(pairings):
+        for j, q in enumerate(pairings):
+            loops = loop_decomposition(p, q).count
+            for n, gram in grams.items():
+                assert gram.entry(i, j) == n**loops, (n, i, j)
+    quotients = (QuotientSpec(2, 1), QuotientSpec(4, 1))
+    for coloring in block_balanced_colorings(word):
+        selected = [p for p in pairings if is_block_respecting(p, coloring)]
+        colored = [gram_matrix_colored(selected, word, coloring, qt) for qt in quotients]
+        for i, p in enumerate(selected):
+            for j, q in enumerate(selected):
+                dec = loop_decomposition(p, q, coloring)
+                for qt, gram in zip(quotients, colored):
+                    expected = qt.d_w ** dec.count_in(Block.W) * qt.d_u ** dec.count_in(Block.U)
+                    assert gram.entry(i, j) == expected, (str(coloring), i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gram_rows_sum_to_rising_factorial(n):
+    """The pairings of a word with k V slots are the permutations of S_k, and
+    two of them overlay in as many loops as the permutation between them has
+    cycles, so each row sums the cycle-count polynomial of S_k at n:
+    n(n+1)...(n+k-1)."""
+    word = parse_word("uuUuUUuUuU")
+    rows = gram_matrix(enumerate_pairings(word), word, AmbientSpec(n)).row_list()
+    assert len(rows) == 120
+    assert {sum(row) for row in rows} == {math.prod(range(n, n + 5))}
 
 
 def test_invariant_dimension_frozen_values():
