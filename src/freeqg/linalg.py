@@ -5,17 +5,27 @@ first-nonzero pivoting: each division by the previous pivot is exact, so `//`
 never rounds.  Back-substitution scales the unknowns by the last pivot, which
 by Cramer's rule keeps them integral.  Fractions appear only where a rational
 is the answer: the column-space certificate, and vectors handed to `matvec`
-or `in_column_space`.  Matrices here are small (a few hundred rows at most),
-so dense storage is fine.  Floats are rejected outright.
+or `in_column_space`.  Floats are rejected outright.
+
+A pivot search modulo the prime 2^61 - 1 runs first.  A minor that is
+nonzero mod p is a nonzero integer, so the modular rank is a proven lower
+bound on the exact rank: when it is full, `rank` skips Bareiss.  A tall
+kernel (a length-10 constraint system has 3504 rows over 120 columns) is
+eliminated exactly on the modular pivot rows only; kernel vectors that pass
+the check against all rows prove the two kernels equal, and otherwise all
+rows are eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 __all__ = ["ExactMatrix", "VerificationError"]
+
+_P = (1 << 61) - 1
 
 
 class VerificationError(AssertionError):
@@ -58,13 +68,59 @@ def _back_substitute(data, pivots, x: list[int], rhs: list[int]) -> list[int]:
     return x
 
 
+def _pivots_mod_p(rows, n_cols: int) -> list[tuple[int, int]]:
+    """Pivots (original row index, column) of elimination modulo the prime _P.
+
+    Rows are taken in order and reduced against the pivot rows before them;
+    a row left nonzero takes a pivot at its first nonzero column.  The pivot
+    rows are kept fully reduced as sparse dicts, so a dependent row costs
+    only its own nonzeros and those of the pivot rows it meets.  A repeated
+    row is skipped.
+    """
+
+    def add_multiple(y: dict, f: int, x: dict):
+        for j, xj in x.items():
+            s = (y.get(j, 0) + f * xj) % _P
+            if s:
+                y[j] = s
+            else:
+                del y[j]
+
+    # pivot column -> its row, scaled to 1 there and 0 at every other pivot
+    reduced: dict[int, dict[int, int]] = {}
+    pivots = []
+    seen = set()
+    for i, row in enumerate(rows):
+        if len(pivots) == n_cols:
+            break
+        if row in seen:
+            continue
+        seen.add(row)
+        v = {j: y for j, x in enumerate(row) if (y := x % _P)}
+        for c in [c for c in v if c in reduced]:
+            add_multiple(v, -v.pop(c), reduced[c])
+        if not v:
+            continue
+        c = min(v)
+        inv = pow(v.pop(c), -1, _P)
+        v = {j: x * inv % _P for j, x in v.items()}
+        for other in reduced.values():
+            if c in other:
+                add_multiple(other, -other.pop(c), v)
+        reduced[c] = v
+        pivots.append((i, c))
+    return pivots
+
+
 class ExactMatrix:
     """Immutable dense matrix of ints."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(map(_as_int, row)) for row in entries)
+        data = tuple(map(tuple, entries))
+        if set(map(type, chain.from_iterable(data))) - {int}:
+            data = tuple(tuple(map(_as_int, row)) for row in data)
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:
@@ -157,27 +213,38 @@ class ExactMatrix:
         return [c for _, c in self._echelon()[1]]
 
     def rank(self) -> int:
+        modular = len(_pivots_mod_p(self._data, self.cols))
+        if modular == min(self.rows, self.cols):
+            return modular
         return len(self.pivot_columns())
 
     def nullspace_basis(self) -> list[list[int]]:
         """Basis of the right kernel, one primitive integer vector per free column.
 
-        Every returned vector is re-checked by multiplication.
+        Such a basis depends only on the kernel.  A tall matrix is first
+        eliminated on its modular pivot rows alone; vectors that pass the
+        check against every row prove that kernel the same, and otherwise
+        all rows are eliminated.  Every returned vector is re-checked by
+        multiplication.
         """
-        data, pivots = self._echelon()
-        basis = []
-        t = 0  # pivots left of the current column
-        for free in range(self.cols):
-            if t < len(pivots) and pivots[t][1] == free:
-                t += 1
-                continue
-            x = [0] * self.cols
-            x[free] = data[t - 1][pivots[t - 1][1]] if t else 1
-            basis.append(_primitive(_back_substitute(data, pivots[:t], x, [0] * t)))
-        for x in basis:
-            if any(self.matvec(x)):
-                raise VerificationError("kernel vector fails verification")
-        return basis
+        candidates = [self]
+        if self.rows > self.cols:
+            keep = [self._data[r] for r, _ in _pivots_mod_p(self._data, self.cols)]
+            candidates.insert(0, ExactMatrix(keep, cols=self.cols))
+        for m in candidates:
+            data, pivots = m._echelon()
+            basis = []
+            t = 0  # pivots left of the current column
+            for free in range(self.cols):
+                if t < len(pivots) and pivots[t][1] == free:
+                    t += 1
+                    continue
+                x = [0] * self.cols
+                x[free] = data[t - 1][pivots[t - 1][1]] if t else 1
+                basis.append(_primitive(_back_substitute(data, pivots[:t], x, [0] * t)))
+            if not any(any(self.matvec(x)) for x in basis):
+                return basis
+        raise VerificationError("kernel vector fails verification")
 
     def left_nullspace_basis(self) -> list[list[int]]:
         """Row vectors y with y @ self == 0 (basis of the cokernel)."""

@@ -21,6 +21,7 @@ from freeqg.coinvariants import (
     verdict_json,
     verify_witness,
 )
+from freeqg import linalg
 from freeqg.linalg import ExactMatrix
 from freeqg.words import (
     Block,
@@ -216,6 +217,42 @@ def test_nc_rank_values():
     assert nc_rank(parse_word(""), AmbientSpec(2)) == 1
     # at n = 1 the functionals collapse
     assert nc_rank(parse_word("uUuU"), AmbientSpec(1)) == 1
+
+
+def test_nc_rank_full_from_n_2_and_one_at_n_1(monkeypatch):
+    """At n >= 2 the non-crossing Gram matrix is a principal submatrix of the
+    meander Gram matrix, which is positive definite (Di Francesco, Comm. Math.
+    Phys. 191, 1998): the modular rank is full and certifies it.  At n = 1
+    every entry is 1, so the modular rank falls short and Bareiss decides."""
+    bareiss = []
+    pivot_columns = ExactMatrix.pivot_columns
+
+    def spy(self):
+        bareiss.append(self.rows)
+        return pivot_columns(self)
+
+    monkeypatch.setattr(ExactMatrix, "pivot_columns", spy)
+    for word in balanced_words(10):
+        count = len(enumerate_noncrossing(word))
+        for n in (2, 3, 5):
+            assert nc_rank(word, AmbientSpec(n)) == count, (str(word), n)
+        assert not bareiss
+        assert nc_rank(word, AmbientSpec(1)) == 1
+        assert bareiss == ([count] if count > 1 else [])
+        bareiss.clear()
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_constraint_kernels_match_all_rows_elimination(n, d_w, d_u, monkeypatch):
+    """The kernel found from the modular pivot rows is the all-rows Bareiss
+    kernel, vector for vector."""
+    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
+    systems = [fullness_system(w, ambient, quotient)[3] for w in balanced_words(8)]
+    kernels = [c.nullspace_basis() for c in systems]
+    monkeypatch.setattr(
+        linalg, "_pivots_mod_p", lambda rows, n_cols: [(i, 0) for i in range(len(rows))]
+    )
+    assert kernels == [c.nullspace_basis() for c in systems]
 
 
 def test_fullness_system_shapes():

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 import sympy
 
+from freeqg import linalg
 from freeqg.linalg import ExactMatrix
+
+P = (1 << 61) - 1  # the prime of the modular pivot search
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -141,6 +144,71 @@ def test_rank_deficient_products_match_sympy(rows, inner, cols):
     check_kernel_basis(m.transpose(), left_basis)
 
 
+def every_row(rows, n_cols):
+    """A stand-in for the modular pivot search that keeps every row."""
+    return [(i, 0) for i in range(len(rows))]
+
+
+def all_rows_kernel(m, monkeypatch):
+    """The kernel basis from one Bareiss elimination of every row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_pivots_mod_p", every_row)
+        return m.nullspace_basis()
+
+
+def kernel_and_eliminated_rows(m, monkeypatch):
+    """nullspace_basis, and the row count of every matrix it eliminated."""
+    eliminated = []
+    echelon = ExactMatrix._echelon
+
+    def spy(self):
+        eliminated.append(self.rows)
+        return echelon(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "_echelon", spy)
+        return m.nullspace_basis(), eliminated
+
+
+@pytest.mark.parametrize(
+    "entries,eliminated",
+    [
+        ([[P, 1], [0, 0], [0, 0]], [1]),  # the modular pivot row suffices
+        ([[P], [0]], [0, 2]),  # no modular pivot, so every row is needed
+        ([[1, 0, 0], [0, P, 0], [0, 0, 0], [0, 0, 0]], [1, 4]),
+        ([[2 * P, P], [P, 3 * P], [P, P]], [0, 3]),
+        ([[P, 0], [0, 1]], [2]),  # not tall: all rows at once
+    ],
+)
+def test_prime_dividing_a_minor_falls_back_to_all_rows(entries, eliminated, monkeypatch):
+    m = ExactMatrix(entries)
+    theirs = sympy.Matrix(entries)
+    assert m.rank() == theirs.rank() == len(m.pivot_columns())
+    basis, seen = kernel_and_eliminated_rows(m, monkeypatch)
+    assert seen == eliminated
+    assert basis == all_rows_kernel(m, monkeypatch)
+    assert len(basis) == len(theirs.nullspace())
+    check_kernel_basis(m, basis)
+
+
+@pytest.mark.parametrize(
+    "rows,inner,cols,bound",
+    [(60, 4, 9, 10**6), (120, 7, 12, 10**6), (40, 1, 5, 10**20), (90, 9, 10, 3), (200, 2, 6, 1)],
+)
+def test_tall_rank_deficient_kernels_match_all_rows(rows, inner, cols, bound, monkeypatch):
+    rng = random.Random(rows * 1000 + inner * 100 + cols)
+    left = ExactMatrix(random_int_matrix(rng, rows, inner, -bound, bound))
+    right = ExactMatrix(random_int_matrix(rng, inner, cols, -bound, bound))
+    m = left @ right
+    rank = sympy.Matrix(m.row_list()).rank()
+    assert m.rank() == rank
+    basis, seen = kernel_and_eliminated_rows(m, monkeypatch)
+    assert seen == [rank]
+    assert basis == all_rows_kernel(m, monkeypatch)
+    assert len(basis) == cols - rank
+    check_kernel_basis(m, basis)
+
+
 def test_left_nullspace():
     m = ExactMatrix([[1, 2], [2, 4], [0, 1]])
     left = m.left_nullspace_basis()
@@ -217,7 +285,11 @@ def expect_raise(label, call):
 echelon = ExactMatrix._echelon
 
 
+eliminated = []
+
+
 def corrupted(self):
+    eliminated.append(self.rows)
     data, pivots = echelon(self)
     data[0][-1] += 1
     return data, pivots
@@ -225,6 +297,10 @@ def corrupted(self):
 
 ExactMatrix._echelon = corrupted
 expect_raise("kernel", lambda: ExactMatrix([[1, 2]]).nullspace_basis())
+# a tall matrix is eliminated on its modular pivot row, then on all rows
+eliminated.clear()
+expect_raise("tall", lambda: ExactMatrix([[1, 2], [2, 4], [3, 6]]).nullspace_basis())
+print("tall eliminated rows", eliminated)
 expect_raise("certificate", lambda: ExactMatrix([[2, 0], [0, 3]]).in_column_space([1, 1]))
 ExactMatrix._echelon = echelon
 # a pivot claimed in every column makes the first image look outside the span
@@ -247,6 +323,8 @@ def test_self_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "kernel kernel vector fails verification",
+        "tall kernel vector fails verification",
+        "tall eliminated rows [1, 3]",
         "certificate column space certificate fails verification",
         "witness witness fails re-verification",
     ]
