@@ -12,6 +12,12 @@ fullness_system weighs one walk of all pairs for the ambient matrix and every
 coloring.  Every Gram entry is a product of powers of n, d_w and d_u, so all
 span and rank questions are settled exactly by integer elimination.
 
+Span membership has one routine, _cokernel: a vector lies in the span of
+some Gram columns iff their cokernel annihilates it, and as every Gram matrix
+is symmetric that cokernel is the kernel of the matching rows.  Both
+fullness_system and joint_fullness decide membership this way; verify_witness
+re-checks a witness by the other route, an in_column_space certificate.
+
 Two independent routes to the same geometry are kept side by side on purpose:
 loop counting produces Gram entries combinatorially, while realize_functional
 writes T_p out as a dense 0/1 vector so that small cases can be cross-checked
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -269,6 +275,13 @@ def nc_rank(word: Word, ambient: AmbientSpec) -> int:
     return gram_matrix(ncs, word, ambient).rank()
 
 
+def _cokernel(gram_rows, inside) -> list[list[int]]:
+    """Basis of the y with y @ G[:, inside] == 0, which annihilate exactly the
+    span of those columns of the symmetric matrix G with these rows.  As
+    y @ G == G @ y, it is the kernel of the rows `inside`."""
+    return ExactMatrix([gram_rows[k] for k in inside], cols=len(gram_rows)).nullspace_basis()
+
+
 def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     """Constraint system for joint coinvariance of a balanced word.
 
@@ -280,15 +293,17 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     constraints  integer matrix whose right kernel, in pairing coordinates, is
                  exactly the space of functionals whose restriction to every
                  colored summand lies in that summand's block-respecting
-                 non-crossing span
+                 non-crossing span; its rows are nonzero and pairwise distinct
 
     Span membership is linearized through Gram matrices: a functional lies in
     the span of a subset iff its inner-product vector against the summand's
     pairings lies in the column space of the corresponding Gram columns, iff
     the cokernel of those columns annihilates it.  This is exact because the
     inner product comes from genuine real vectors, hence is positive
-    semidefinite on the span.  Colorings without a block-respecting pairing
-    constrain nothing, so only block-balanced ones are scanned.
+    semidefinite on the span.  Each cokernel vector y of a colored Gram
+    matrix G_c gives the row G_c @ y, scattered to pairing coordinates and
+    kept at its first occurrence.  Colorings without a block-respecting
+    pairing constrain nothing, so only block-balanced ones are scanned.
     """
     if ambient.n != quotient.n:
         raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
@@ -300,23 +315,18 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     masks = _loop_gram(pairings, word, lambda mask: mask).row_list()
     n = ambient.n
     gram = ExactMatrix([[n ** m.bit_count() for m in row] for row in masks], cols=len(pairings))
-    constraint_rows = []
+    constraint_rows = {}  # each distinct row once, in first-occurrence order
     for coloring in block_balanced_colorings(word):
         sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
         weight = _colored_weight(coloring, quotient)
-        colored_gram = ExactMatrix([[weight(masks[a][b]) for b in sel] for a in sel], cols=len(sel))
+        colored = [[weight(masks[a][b]) for b in sel] for a in sel]
         nc_local = [k for k, i in enumerate(sel) if i in nc_index_set]
-        cokernel = colored_gram.column_submatrix(nc_local).left_nullspace_basis()
-        if not cokernel:
-            continue
-        reduced = ExactMatrix(cokernel, cols=len(sel)) @ colored_gram
-        for row in reduced.row_list():
-            if not any(row):
-                continue
+        for y in _cokernel(colored, nc_local):
             full_row = [0] * len(pairings)
-            for k, i in enumerate(sel):
-                full_row[i] = row[k]
-            constraint_rows.append(full_row)
+            for i, row in zip(sel, colored):
+                full_row[i] = sum(map(mul, row, y))
+            if any(full_row):
+                constraint_rows.setdefault(tuple(full_row))
     constraints = ExactMatrix(constraint_rows, cols=len(pairings))
     return pairings, nc_indices, gram, constraints
 
@@ -330,21 +340,6 @@ def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
     return ok
 
 
-def _first_outside_span(block: ExactMatrix, vectors) -> int | None:
-    """Index of the first vector outside the column space of block, or None.
-
-    One elimination of [block | vectors] decides it: a vector whose column
-    takes a pivot lies outside the span of the block and the vectors before
-    it, while every earlier vector, taking none, lies in the block's span.
-    """
-    augmented = ExactMatrix(
-        [list(row) + [v[i] for v in vectors] for i, row in enumerate(block.row_list())],
-        cols=block.cols + len(vectors),
-    )
-    pivots = augmented.pivot_columns()
-    return next((c - block.cols for c in pivots if c >= block.cols), None)
-
-
 def joint_fullness(
     word: Word, ambient: AmbientSpec, quotient: QuotientSpec
 ) -> FullnessVerdict:
@@ -353,24 +348,24 @@ def joint_fullness(
 
     The jointly coinvariant coefficient space is the right kernel of the
     constraint system from fullness_system; the verdict holds when the Gram
-    image of each kernel basis vector lies in the column space of the
-    non-crossing Gram columns, which one elimination of the non-crossing
-    columns next to all images decides.  A failing verdict carries the first
-    violating basis vector as a witness, re-checked from scratch before
-    returning.
+    image of each kernel basis vector is annihilated by the cokernel of the
+    non-crossing Gram columns.  A failing verdict carries the first basis
+    vector whose image is not as its witness, re-checked from scratch by an
+    in_column_space certificate before returning.
     """
     if not word.balanced:
         raise ValueError("joint fullness is a question about balanced words only")
     pairings, nc_indices, gram, constraints = fullness_system(word, ambient, quotient)
     solution = constraints.nullspace_basis()
-    images = [gram.matvec(a) for a in solution]
-    first = _first_outside_span(gram.column_submatrix(nc_indices), images)
-    if first is None:
-        return FullnessVerdict(True, len(solution), None)
-    witness = tuple(solution[first])
-    if not verify_witness(word, ambient, quotient, witness):
-        raise VerificationError("witness fails re-verification")
-    return FullnessVerdict(False, len(solution), witness)
+    cokernel = _cokernel(gram.row_list(), nc_indices)
+    for a in solution:
+        image = gram.matvec(a)
+        if any(sum(map(mul, y, image)) for y in cokernel):
+            witness = tuple(a)
+            if not verify_witness(word, ambient, quotient, witness):
+                raise VerificationError("witness fails re-verification")
+            return FullnessVerdict(False, len(solution), witness)
+    return FullnessVerdict(True, len(solution), None)
 
 
 def verify_witness(

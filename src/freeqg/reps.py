@@ -10,6 +10,7 @@ operator-norm tolerances.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -269,14 +270,15 @@ class RelationReport:
     residuals: tuple[float, float, float, float]
     selfadjoint_residual: float | None
     tol: float
-    passed: bool
 
     @property
     def max_residual(self) -> float:
-        worst = max(self.residuals)
-        if self.selfadjoint_residual is not None:
-            worst = max(worst, self.selfadjoint_residual)
-        return worst
+        extra = () if self.selfadjoint_residual is None else (self.selfadjoint_residual,)
+        return max(self.residuals + extra)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
 
 def check_relations(rep: MatrixRep, tol: float = 1e-10) -> RelationReport:
@@ -298,8 +300,7 @@ def check_relations(rep: MatrixRep, tol: float = 1e-10) -> RelationReport:
             for i in range(rep.n)
             for j in range(rep.n)
         )
-    worst = max(residuals) if selfadjoint is None else max(max(residuals), selfadjoint)
-    return RelationReport(residuals, selfadjoint, tol, worst <= tol)
+    return RelationReport(residuals, selfadjoint, tol)
 
 
 def _require_unitary(mat, what: str) -> np.ndarray:
@@ -523,8 +524,13 @@ def separate(
     Trial t draws from its own generator seeded with seed + t, so any single
     trial replays in isolation.  The first trial whose evaluated polynomial
     has operator norm above tol wins; None means every trial stayed at or
-    below the tolerance.
+    below the tolerance.  A negative or non-finite tol, or a negative trial
+    count, raises ValueError.
     """
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         rep = strategy.draw(poly.n, poly.family, rng)

@@ -282,6 +282,26 @@ def test_separate_rejects_n_above_nine(capsys):
     assert "between 1 and 9" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        # a negative tolerance would "separate" the zero polynomial at norm 0
+        (["--tol", "-1"], "tol must be finite and >= 0"),
+        # no norm exceeds nan, so nothing could ever separate
+        (["--tol", "nan"], "tol must be finite and >= 0"),
+        (["--tol", "inf"], "tol must be finite and >= 0"),
+        # a negative count would break the result schema's trials >= 0
+        (["--trials", "-3", "--explore"], "trials must be >= 0"),
+    ],
+)
+def test_separate_rejects_bad_tol_and_trials(capsys, extra, message):
+    code = main(["separate", "--poly", "u11 - u11", "--n", "2"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_console_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "freeqg", "rank", "--word", "uU", "--n", "3"],

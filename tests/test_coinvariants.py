@@ -1,15 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
+import sympy
 
 from freeqg.coinvariants import (
     AmbientSpec,
     QuotientSpec,
     RealizationTooLarge,
-    _first_outside_span,
+    _cokernel,
     fullness_system,
     gram_matrix,
     gram_matrix_colored,
@@ -255,6 +258,34 @@ def test_constraint_kernels_match_all_rows_elimination(n, d_w, d_u, monkeypatch)
     assert kernels == [c.nullspace_basis() for c in systems]
 
 
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_constraint_rows_are_the_distinct_colored_cokernel_rows(n, d_w, d_u):
+    """Each constraint row appears once.  The rows are y @ G_c for every
+    cokernel vector y of the non-crossing columns of every colored Gram matrix
+    G_c, scattered to pairing coordinates, nonzero, in first-occurrence order;
+    here that route runs on the ExactMatrix cokernel and product."""
+    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
+    for word in balanced_words(8):
+        pairings, nc_indices, _, constraints = fullness_system(word, ambient, quotient)
+        rows = constraints.row_list()
+        assert len(set(map(tuple, rows))) == len(rows), str(word)
+        expected = {}
+        for coloring in block_balanced_colorings(word):
+            sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
+            colored = gram_matrix_colored([pairings[i] for i in sel], word, coloring, quotient)
+            nc_local = [k for k, i in enumerate(sel) if i in nc_indices]
+            cokernel = colored.column_submatrix(nc_local).left_nullspace_basis()
+            if not cokernel:
+                continue
+            for row in (ExactMatrix(cokernel, cols=len(sel)) @ colored).row_list():
+                full_row = [0] * len(pairings)
+                for k, i in enumerate(sel):
+                    full_row[i] = row[k]
+                if any(full_row):
+                    expected.setdefault(tuple(full_row))
+        assert rows == [list(r) for r in expected], str(word)
+
+
 def test_fullness_system_shapes():
     word = parse_word("uuUU")
     pairings, nc_indices, gram, constraints = fullness_system(
@@ -306,25 +337,62 @@ def test_in_noncrossing_span_fraction_coefficients():
     assert not in_noncrossing_span(gram, nc_indices, crossing)
 
 
+def gram_of_columns(columns):
+    """V^T V for the integer matrix V with these columns."""
+    return [[sum(map(mul, u, v)) for v in columns] for u in columns]
+
+
+def outside_by_cokernel(gram_rows, inside, index):
+    """The rule joint_fullness applies to a kernel vector a: G a lies outside
+    the span of the columns `inside` iff some cokernel vector y has
+    y . (G a) != 0.  Here a = e_index, so G a is column `index` of G."""
+    image = [row[index] for row in gram_rows]
+    return any(sum(map(mul, y, image)) for y in _cokernel(gram_rows, inside))
+
+
 @pytest.mark.parametrize(
     "vectors,first",
     [
         # v1 inside, v2 outside, v3 = v1 + v2 outside too: v2 is the first
         ([[1, 2, 0, 0], [0, 0, 1, 0], [1, 2, 1, 0]], 1),
-        # v2 repeats v1, so only v1 takes a pivot
+        # v1 outside, v2 repeats it, v3 inside
         ([[0, 0, 0, 3], [0, 0, 0, 3], [2, 0, 0, 0]], 0),
         # v1 and v2 inside, v3 outside
         ([[1, 0, 0, 0], [3, 5, 0, 0], [0, 1, 1, 1]], 2),
         ([[1, 0, 0, 0], [3, 5, 0, 0], [-2, 7, 0, 0]], None),
     ],
 )
-def test_first_outside_span_picks_first_image_outside(vectors, first):
-    # the rule joint_fullness applies to [nc_gram | images], on a synthetic
-    # block N spanning the first two coordinates
-    block = ExactMatrix([[1, 1], [0, 2], [0, 0], [0, 0]])
-    assert _first_outside_span(block, vectors) == first
-    membership = [block.in_column_space(v)[0] for v in vectors]
-    assert first == next((i for i, ok in enumerate(membership) if not ok), None)
+def test_cokernel_rule_picks_first_vector_outside_the_block(vectors, first):
+    # V = [block | v1 v2 v3] with a block spanning the first two coordinates,
+    # G = V^T V, inside = [0, 1] and a_i = e_{2+i}
+    block = [[1, 0, 0, 0], [1, 2, 0, 0]]
+    gram = gram_of_columns(block + vectors)
+    outside = [outside_by_cokernel(gram, [0, 1], 2 + i) for i in range(len(vectors))]
+    assert next((i for i, out in enumerate(outside) if out), None) == first
+    block_matrix = ExactMatrix(list(map(list, zip(*block))))
+    assert outside == [not block_matrix.in_column_space(v)[0] for v in vectors]
+
+
+def test_cokernel_rule_matches_sympy_on_rank_deficient_columns():
+    rng = random.Random(17)
+    for _ in range(40):
+        # more columns than their rank: dependent columns and a singular G
+        dim, rank = rng.randint(1, 6), rng.randint(1, 4)
+        count = rng.randint(rank + 1, 7)
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(dim)]
+        coords = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(count)]
+        columns = [[sum(map(mul, row, c)) for row in left] for c in coords]
+        gram = gram_of_columns(columns)
+        inside = sorted(rng.sample(range(count), rng.randint(0, count - 1)))
+        block = [columns[k] for k in inside]
+        block_rank = sympy.Matrix(block).rank()
+        block_matrix = ExactMatrix([[c[r] for c in block] for r in range(dim)], cols=len(block))
+        for index in set(range(count)) - set(inside):
+            v = columns[index]
+            grown = sympy.Matrix(block + [v]).rank()
+            outside = outside_by_cokernel(gram, inside, index)
+            assert outside == (grown > block_rank)
+            assert outside == (not block_matrix.in_column_space(v)[0])
 
 
 @pytest.mark.parametrize(

@@ -265,6 +265,7 @@ def test_zero_row_and_zero_column_edges():
 
 SELF_CHECKS_UNDER_O = """
 import sys
+from freeqg import coinvariants
 from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness
 from freeqg.linalg import ExactMatrix, VerificationError
 from freeqg.words import parse_word
@@ -303,8 +304,19 @@ expect_raise("tall", lambda: ExactMatrix([[1, 2], [2, 4], [3, 6]]).nullspace_bas
 print("tall eliminated rows", eliminated)
 expect_raise("certificate", lambda: ExactMatrix([[2, 0], [0, 3]]).in_column_space([1, 1]))
 ExactMatrix._echelon = echelon
-# a pivot claimed in every column makes the first image look outside the span
-ExactMatrix.pivot_columns = lambda self: list(range(self.cols))
+# an empty non-crossing set on the first call makes the first kernel vector
+# look outside the span; the re-check then builds the true system
+system = coinvariants.fullness_system
+calls = []
+
+
+def first_call_without_noncrossing(*args):
+    pairings, nc_indices, gram, constraints = system(*args)
+    calls.append(args)
+    return pairings, [] if len(calls) == 1 else nc_indices, gram, constraints
+
+
+coinvariants.fullness_system = first_call_without_noncrossing
 expect_raise(
     "witness",
     lambda: joint_fullness(parse_word("uuUU"), AmbientSpec(2), QuotientSpec(1, 1)),
