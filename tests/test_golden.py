@@ -1,7 +1,9 @@
 """Golden CLI outputs: exit code plus the JSON report minus `timing_ms`, or
-the CSV text, for a fixed set of invocations.
+the CSV text, for a fixed set of invocations; and golden `parse_poly`
+outcomes: the terms, or the error class, message and position, for a fixed
+set of polynomial strings.
 
-The golden file is written by running this module as a script:
+The golden files are written by running this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -9,14 +11,17 @@ The golden file is written by running this module as a script:
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from freeqg.cli import main
+from freeqg.reps import parse_poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+POLY_GOLDEN = GOLDEN.with_name("poly.json")
 
 CASES = [
     ["pairings", "--word", "uUuUuU"],
@@ -28,7 +33,89 @@ CASES = [
     ["fullness", "--max-len", "6", "--n", "5", "--dw", "4", "--du", "1"],
     ["fullness", "--max-len", "6", "--n", "3", "--dw", "2", "--du", "1"],
     ["fullness", "--max-len", "4", "--n", "3", "--dw", "1", "--du", "2", "--format", "csv"],
+    # the zero polynomial and a commutator that vanishes on every scalar model
+    ["separate", "--poly", "u11 - u11", "--n", "2", "--strategy", "point", "--trials", "3"],
+    ["separate", "--poly", "u11 u12 - u12 u11", "--n", "2", "--trials", "0"],
 ]
+
+
+def _random_poly_cases(count, seed):
+    """Strings over grammar pieces, whitespace variants and near misses: an
+    Arabic-Indic digit, an upper-case letter, a stray exponent, a lone dot."""
+    pieces = [
+        "u11", "u12", "u21'", "v12", "v22'", "u31", "u", "v", "u1", "u١",
+        "1", "2", "0", "9", "١", "'", "+", "-", " + ", " - ", "i", "i ",
+        ".", "e", "E", "2.5", "1e3", ".5", "2 ",
+        " ", " ", " ", "\t", "\n", "\u00a0", "\u2003", "U", "?",
+    ]
+    rng = random.Random(seed)
+    return [
+        (
+            "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 13))),
+            rng.choice([1, 2, 3, 9]),
+            rng.choice("AB"),
+        )
+        for _ in range(count)
+    ]
+
+
+# (text, n, family), at least one per outcome: terms, empty, a term with no
+# factors, a coefficient after a generator, the wrong family, an index out of
+# range, a malformed generator, an unexpected character, a non-finite
+# coefficient and a bad n or family; lexical errors win over syntax errors.
+POLY_CASES = [
+    ("u11", 2, "A"),
+    ("2.5 i u11 u21' - u22 + 3", 2, "A"),
+    ("-u12 u21'", 2, "A"),
+    ("+ 3", 1, "A"),
+    ("i", 1, "A"),
+    ("1e-3 u11 - .5e2 u11' + 4. i i", 1, "A"),
+    ("v12 v21' - v21 v12'", 2, "B"),
+    ("u99 - u19'", 9, "A"),
+    ("\tu11\u00a0u11'\n", 1, "A"),
+    ("١ u11", 1, "A"),
+    ("u١١", 1, "A"),
+    ("0 u11 - 1e-400", 1, "A"),
+    ("u11 u11 u11 - 2 + i", 1, "A"),
+    ("u11 - u11", 2, "A"),
+    ("", 2, "A"),
+    ("   ", 2, "A"),
+    ("\u2003\n", 2, "B"),
+    ("-", 2, "A"),
+    ("u11 +", 2, "A"),
+    ("u11 + - u12", 2, "A"),
+    ("++u11", 2, "A"),
+    ("u11 2", 2, "A"),
+    ("u11 .5 u12", 2, "A"),
+    ("u11 i", 2, "A"),
+    ("2 u12' i u11", 2, "A"),
+    ("v11", 2, "A"),
+    ("u11", 2, "B"),
+    ("2 v11 - u11", 2, "B"),
+    ("u13", 2, "A"),
+    ("u01", 2, "A"),
+    ("v30'", 2, "B"),
+    ("u١٣", 2, "A"),
+    ("u1", 2, "A"),
+    ("u", 2, "A"),
+    ("v1x", 2, "B"),
+    ("2 u 11", 2, "A"),
+    ("uU", 2, "A"),
+    ("U11", 2, "A"),
+    ("u11 * u12", 2, "A"),
+    ("e5 u11", 2, "A"),
+    (".", 2, "A"),
+    ("1e u11", 2, "A"),
+    ("u11 2 ?", 2, "A"),
+    ("u13 u1", 2, "A"),
+    ("- ?", 2, "A"),
+    ("1e309 u11", 2, "A"),
+    ("1e200 1e200", 2, "A"),
+    ("-1e200 i 1e200 u11", 2, "A"),
+    ("u11", 0, "A"),
+    ("u11", 10, "A"),
+    ("u11", 2, "C"),
+] + _random_poly_cases(400, seed=7)
 
 
 def run(argv):
@@ -43,6 +130,22 @@ def run(argv):
     return {"argv": argv, "code": code, "report": report}
 
 
+def parse_case(text, n, family):
+    case = {"text": text, "n": n, "family": family}
+    try:
+        poly = parse_poly(text, n, family)
+    except ValueError as exc:
+        error = {"class": type(exc).__name__, "message": str(exc)}
+        error["position"] = getattr(exc, "position", None)
+        case["error"] = error
+    else:
+        case["terms"] = [
+            [[coeff.real, coeff.imag], [list(gen) for gen in gens]]
+            for coeff, gens in poly.terms
+        ]
+    return case
+
+
 def load_golden():
     with open(GOLDEN) as handle:
         return {" ".join(case["argv"]): case for case in json.load(handle)}
@@ -54,9 +157,30 @@ def test_cli_matches_golden(argv, monkeypatch):
     assert run(argv) == load_golden()[" ".join(argv)]
 
 
+def test_parse_poly_matches_golden():
+    # compared as JSON text, so non-finite coefficients compare equal to
+    # themselves and -0.0 stays distinct from 0.0
+    with open(POLY_GOLDEN) as handle:
+        golden = json.load(handle)
+    assert [case[:3] for case in POLY_CASES] == [
+        (case["text"], case["n"], case["family"]) for case in golden
+    ]
+    mismatches = [
+        (expected, actual)
+        for expected, actual in zip(golden, (parse_case(*case) for case in POLY_CASES))
+        if json.dumps(expected, sort_keys=True) != json.dumps(actual, sort_keys=True)
+    ]
+    assert mismatches == []
+
+
+def write(path, cases):
+    with open(path, "w") as handle:
+        json.dump(cases, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(cases)} cases to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w") as handle:
-        json.dump([run(argv) for argv in CASES], handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {len(CASES)} cases to {GOLDEN}", file=sys.stderr)
+    write(GOLDEN, [run(argv) for argv in CASES])
+    write(POLY_GOLDEN, [parse_case(*case) for case in POLY_CASES])
