@@ -41,8 +41,12 @@ __all__ = [
 
 _UNITARY_INPUT_TOL = 1e-12
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_GEN_RE = re.compile(r"[uv]\d\d'?")
+# the lexical layer of the polynomial grammar: one token after optional
+# whitespace; no match at a non-space character is a lexical error
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<gen>[uv]\d\d'?)|(?P<imag>i)"
+    r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))"
+)
 
 
 class PolyParseError(ValueError):
@@ -80,53 +84,6 @@ class NCPoly:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def __str__(self) -> str:
-        letter = "u" if self.family == "A" else "v"
-        if not self.terms:
-            return "0"
-        parts = []
-        for coeff, gens in self.terms:
-            body = " ".join(
-                f"{letter}{g.row}{g.col}" + ("'" if g.adjoint else "") for g in gens
-            )
-            parts.append(f"({coeff}) {body}".strip())
-        return " + ".join(parts)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-":
-            tokens.append(("sign", ch, i + 1))
-            i += 1
-            continue
-        if ch in "uv":
-            m = _GEN_RE.match(text, i)
-            if not m:
-                raise PolyParseError(
-                    f"malformed generator: expected {ch!r} followed by two digit indices",
-                    i + 1,
-                )
-            tokens.append(("gen", m.group(), i + 1))
-            i = m.end()
-            continue
-        if ch == "i":
-            tokens.append(("imag", "i", i + 1))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(("num", m.group(), i + 1))
-            i = m.end()
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i + 1)
-    return tokens
-
 
 def parse_poly(text: str, n: int, family: str) -> NCPoly:
     """Parse a polynomial in the generators of one family.
@@ -135,69 +92,69 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     numeric factors and the imaginary unit 'i' followed by juxtaposed
     generators like u12 or v21', where the apostrophe marks the adjoint.
     Indices are single digits, so this covers n <= 9.  Coefficient factors
-    must precede all generators in a term.
+    must precede all generators in a term.  The whole string is scanned
+    before it is parsed, so an unexpected character or a malformed generator
+    is reported ahead of any syntax error.
     """
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
     if not 1 <= n <= 9:
         raise ValueError(f"n must be between 1 and 9, got {n}")
     letter = "u" if family == "A" else "v"
-    tokens = _tokenize(text)
+    tokens = []
+    pos = 0
+    while match := _TOKEN_RE.match(text, pos):
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind) + 1))
+        pos = match.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        at = len(text) - len(rest) + 1
+        if rest[0] in "uv":
+            raise PolyParseError(
+                f"malformed generator: expected {rest[0]!r} followed by two digit indices",
+                at,
+            )
+        raise PolyParseError(f"unexpected character {rest[0]!r}", at)
     if not tokens:
         raise PolyParseError("empty polynomial", 1)
-    terms = []
-    idx = 0
-    first = True
-    while idx < len(tokens):
-        kind, value, pos = tokens[idx]
-        term_pos = pos
+    coeffs: list[complex] = []
+    monomials: list[list[Gen]] = []
+    for index, (kind, value, pos) in enumerate(tokens):
+        # a sign opens a term, and so does a first token that is not a sign
         if kind == "sign":
-            sign = -1.0 if value == "-" else 1.0
-            idx += 1
+            if index + 1 == len(tokens) or tokens[index + 1][0] == "sign":
+                raise PolyParseError("term has no factors", pos)
+            coeffs.append(complex(-1.0 if value == "-" else 1.0))
+            monomials.append([])
+            continue
+        if index == 0:
+            coeffs.append(complex(1.0))
+            monomials.append([])
+        gens = monomials[-1]
+        if kind == "gen":
+            if value[0] != letter:
+                raise PolyParseError(
+                    f"generator {value[0]!r} does not belong to family {family}"
+                    f" (expected {letter!r})",
+                    pos,
+                )
+            row, col = int(value[1]), int(value[2])
+            if not (1 <= row <= n and 1 <= col <= n):
+                raise PolyParseError(
+                    f"index out of range in {value!r}: indices must lie in 1..{n}", pos
+                )
+            gens.append(Gen(row, col, value.endswith("'")))
+        elif gens:
+            factor = "numeric factor" if kind == "num" else "imaginary unit"
+            raise PolyParseError(
+                f"{factor} after a generator; coefficients come first", pos
+            )
+        elif kind == "num":
+            coeffs[-1] *= float(value)
         else:
-            if not first:
-                raise PolyParseError("expected '+' or '-' between terms", pos)
-            sign = 1.0
-        coeff = complex(sign)
-        gens: list[Gen] = []
-        seen_gen = False
-        body = False
-        while idx < len(tokens) and tokens[idx][0] != "sign":
-            kind, value, pos = tokens[idx]
-            if kind == "num":
-                if seen_gen:
-                    raise PolyParseError(
-                        "numeric factor after a generator; coefficients come first", pos
-                    )
-                coeff *= float(value)
-            elif kind == "imag":
-                if seen_gen:
-                    raise PolyParseError(
-                        "imaginary unit after a generator; coefficients come first", pos
-                    )
-                coeff *= 1j
-            else:
-                if value[0] != letter:
-                    raise PolyParseError(
-                        f"generator {value[0]!r} does not belong to family {family}"
-                        f" (expected {letter!r})",
-                        pos,
-                    )
-                row, col = int(value[1]), int(value[2])
-                if not (1 <= row <= n and 1 <= col <= n):
-                    raise PolyParseError(
-                        f"index out of range in {value!r}: indices must lie in 1..{n}",
-                        pos,
-                    )
-                gens.append(Gen(row, col, value.endswith("'")))
-                seen_gen = True
-            body = True
-            idx += 1
-        if not body:
-            raise PolyParseError("term has no factors", term_pos)
-        terms.append((coeff, tuple(gens)))
-        first = False
-    return NCPoly(family, n, tuple(terms))
+            coeffs[-1] *= 1j
+    return NCPoly(family, n, tuple(zip(coeffs, map(tuple, monomials))))
 
 
 @dataclass(frozen=True)
