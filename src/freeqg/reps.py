@@ -10,6 +10,7 @@ operator-norm tolerances.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -92,9 +93,10 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     numeric factors and the imaginary unit 'i' followed by juxtaposed
     generators like u12 or v21', where the apostrophe marks the adjoint.
     Indices are single digits, so this covers n <= 9.  Coefficient factors
-    must precede all generators in a term.  The whole string is scanned
-    before it is parsed, so an unexpected character or a malformed generator
-    is reported ahead of any syntax error.
+    must precede all generators in a term, and their product must stay
+    finite.  The whole string is scanned before it is parsed, so an
+    unexpected character or a malformed generator is reported ahead of any
+    syntax error.
     """
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
@@ -152,6 +154,10 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
             )
         elif kind == "num":
             coeffs[-1] *= float(value)
+            if not cmath.isfinite(coeffs[-1]):
+                raise PolyParseError(
+                    f"coefficient is not finite after the factor {value!r}", pos
+                )
         else:
             coeffs[-1] *= 1j
     return NCPoly(family, n, tuple(zip(coeffs, map(tuple, monomials))))

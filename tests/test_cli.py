@@ -267,11 +267,21 @@ def test_word_parse_error_exit_code(capsys):
     assert "position 3" in captured.err
 
 
-def test_poly_parse_error_exit_code(capsys):
-    code = main(["separate", "--poly", "u99", "--n", "2"])
+@pytest.mark.parametrize(
+    "poly,message",
+    [
+        ("u99", "index out of range"),
+        # an infinite coefficient used to reach numpy and fail in the SVD
+        ("1e309 u11", "not finite"),
+        ("1e200 1e200 u11", "not finite"),
+    ],
+)
+def test_poly_parse_error_exit_code(capsys, poly, message):
+    code = main(["separate", "--poly", poly, "--n", "2"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in captured.err
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_separate_rejects_n_above_nine(capsys):
