@@ -487,13 +487,15 @@ def separate(
     Trial t draws from its own generator seeded with seed + t, so any single
     trial replays in isolation.  The first trial whose evaluated polynomial
     has operator norm above tol wins; None means every trial stayed at or
-    below the tolerance.  A negative or non-finite tol, or a negative trial
-    count, raises ValueError.
+    below the tolerance.  A negative or non-finite tol, a negative trial
+    count or a negative seed raises ValueError.
     """
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         rep = strategy.draw(poly.n, poly.family, rng)

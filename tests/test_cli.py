@@ -267,21 +267,29 @@ def test_word_parse_error_exit_code(capsys):
     assert "position 3" in captured.err
 
 
+def test_poly_parse_error_exit_code(capsys):
+    code = main(["separate", "--poly", "u99", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err
+
+
 @pytest.mark.parametrize(
-    "poly,message",
+    "poly,position",
     [
-        ("u99", "index out of range"),
-        # an infinite coefficient used to reach numpy and fail in the SVD
-        ("1e309 u11", "not finite"),
-        ("1e200 1e200 u11", "not finite"),
+        # an infinite literal, and two finite factors whose product overflows;
+        # both used to reach numpy and fail there with "SVD did not converge"
+        ("1e309 u11", 1),
+        ("1e200 1e200 u11", 7),
     ],
 )
-def test_poly_parse_error_exit_code(capsys, poly, message):
+def test_separate_rejects_non_finite_coefficient(capsys, poly, position):
     code = main(["separate", "--poly", poly, "--n", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert message in captured.err
+    assert "coefficient is not finite" in captured.err
+    assert f"(position {position})" in captured.err
 
 
 def test_separate_rejects_n_above_nine(capsys):
@@ -302,6 +310,10 @@ def test_separate_rejects_n_above_nine(capsys):
         (["--tol", "inf"], "tol must be finite and >= 0"),
         # a negative count would break the result schema's trials >= 0
         (["--trials", "-3", "--explore"], "trials must be >= 0"),
+        # numpy rejects a negative seed only when a trial draws, so with no
+        # trials it used to pass silently
+        (["--seed", "-3", "--trials", "5"], "seed must be >= 0"),
+        (["--seed", "-1", "--trials", "0"], "seed must be >= 0"),
     ],
 )
 def test_separate_rejects_bad_tol_and_trials(capsys, extra, message):
