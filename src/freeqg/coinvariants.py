@@ -39,7 +39,6 @@ from .words import (
     Letter,
     Pairing,
     Word,
-    block_balanced_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
@@ -154,10 +153,10 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
     return ExactMatrix(rows, cols=len(rows))
 
 
-def _colored_weight(coloring: Coloring, quotient: QuotientSpec):
-    """Loop weight d_w or d_u by block.  Exact for block-respecting pairings:
-    each of their loops stays in one block, the block of its least V slot."""
-    wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
+def _colored_weight(wmask: int, quotient: QuotientSpec):
+    """Loop weight d_w or d_u by block, for the coloring whose W slots are the
+    bits of wmask (bit pos - 1).  Exact for block-respecting pairings: each of
+    their loops stays in one block, the block of its least V slot."""
     d_w, d_u = quotient.d_w, quotient.d_u
     return lambda mask: d_w ** (mask & wmask).bit_count() * d_u ** (mask & ~wmask).bit_count()
 
@@ -176,7 +175,8 @@ def gram_matrix_colored(
     All pairings must respect the coloring; entry (i, j) is
     d_w^(W loops) * d_u^(U loops) of the overlay of p_i and p_j.
     """
-    return _loop_gram(pairings, word, _colored_weight(coloring, quotient), coloring)
+    wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
+    return _loop_gram(pairings, word, _colored_weight(wmask, quotient), coloring)
 
 
 def realize_functional(
@@ -303,7 +303,9 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     semidefinite on the span.  Each cokernel vector y of a colored Gram
     matrix G_c gives the row G_c @ y, scattered to pairing coordinates and
     kept at its first occurrence.  Colorings without a block-respecting
-    pairing constrain nothing, so only block-balanced ones are scanned.
+    pairing constrain nothing, so only block-balanced ones are visited, in
+    enumerate_colorings order, and each distinct colored subproblem (G_c and
+    its non-crossing positions) is solved once per call.
     """
     if ambient.n != quotient.n:
         raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
@@ -315,16 +317,29 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     masks = _loop_gram(pairings, word, lambda mask: mask).row_list()
     n = ambient.n
     gram = ExactMatrix([[n ** m.bit_count() for m in row] for row in masks], cols=len(pairings))
+    # a pairing respects exactly the colorings whose W slots (bit pos - 1) are
+    # a union of its arcs; the sort below is enumerate_colorings order
+    selections: dict[int, list[int]] = {}
+    for i, p in enumerate(pairings):
+        unions = [0]
+        for a, b in p.arcs:
+            unions += [u | 1 << a - 1 | 1 << b - 1 for u in unions]
+        for wmask in unions:
+            selections.setdefault(wmask, []).append(i)
+    loop_masks = set(itertools.chain.from_iterable(masks))
+    solved = {}  # (colored rows, nc_local) -> compact rows G_c @ y
     constraint_rows = {}  # each distinct row once, in first-occurrence order
-    for coloring in block_balanced_colorings(word):
-        sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
-        weight = _colored_weight(coloring, quotient)
-        colored = [[weight(masks[a][b]) for b in sel] for a in sel]
-        nc_local = [k for k, i in enumerate(sel) if i in nc_index_set]
-        for y in _cokernel(colored, nc_local):
+    for wmask in sorted(selections, key=lambda m: [~m >> s & 1 for s in range(len(word))]):
+        sel = selections[wmask]
+        weight = dict(zip(loop_masks, map(_colored_weight(wmask, quotient), loop_masks)))
+        colored = tuple(tuple([weight[masks[a][b]] for b in sel]) for a in sel)
+        key = colored, tuple(k for k, i in enumerate(sel) if i in nc_index_set)
+        if key not in solved:
+            solved[key] = [[sum(map(mul, row, y)) for row in colored] for y in _cokernel(*key)]
+        for values in solved[key]:
             full_row = [0] * len(pairings)
-            for i, row in zip(sel, colored):
-                full_row[i] = sum(map(mul, row, y))
+            for i, value in zip(sel, values):
+                full_row[i] = value
             if any(full_row):
                 constraint_rows.setdefault(tuple(full_row))
     constraints = ExactMatrix(constraint_rows, cols=len(pairings))

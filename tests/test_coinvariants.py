@@ -24,7 +24,7 @@ from freeqg.coinvariants import (
     verdict_json,
     verify_witness,
 )
-from freeqg import linalg
+from freeqg import coinvariants, linalg
 from freeqg.linalg import ExactMatrix
 from freeqg.words import (
     Block,
@@ -258,32 +258,72 @@ def test_constraint_kernels_match_all_rows_elimination(n, d_w, d_u, monkeypatch)
     assert kernels == [c.nullspace_basis() for c in systems]
 
 
-@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
-def test_constraint_rows_are_the_distinct_colored_cokernel_rows(n, d_w, d_u):
+def check_constraint_rows_by_colorings(word, ambient, quotient):
     """Each constraint row appears once.  The rows are y @ G_c for every
     cokernel vector y of the non-crossing columns of every colored Gram matrix
     G_c, scattered to pairing coordinates, nonzero, in first-occurrence order;
-    here that route runs on the ExactMatrix cokernel and product."""
+    here that route scans block_balanced_colorings and runs on the
+    ExactMatrix cokernel and product."""
+    pairings, nc_indices, _, constraints = fullness_system(word, ambient, quotient)
+    rows = constraints.row_list()
+    assert len(set(map(tuple, rows))) == len(rows), str(word)
+    expected = {}
+    for coloring in block_balanced_colorings(word):
+        sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
+        colored = gram_matrix_colored([pairings[i] for i in sel], word, coloring, quotient)
+        nc_local = [k for k, i in enumerate(sel) if i in nc_indices]
+        cokernel = colored.column_submatrix(nc_local).left_nullspace_basis()
+        if not cokernel:
+            continue
+        for row in (ExactMatrix(cokernel, cols=len(sel)) @ colored).row_list():
+            full_row = [0] * len(pairings)
+            for k, i in enumerate(sel):
+                full_row[i] = row[k]
+            if any(full_row):
+                expected.setdefault(tuple(full_row))
+    assert rows == [list(r) for r in expected], str(word)
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_constraint_rows_are_the_distinct_colored_cokernel_rows(n, d_w, d_u):
     ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
     for word in balanced_words(8):
-        pairings, nc_indices, _, constraints = fullness_system(word, ambient, quotient)
-        rows = constraints.row_list()
-        assert len(set(map(tuple, rows))) == len(rows), str(word)
-        expected = {}
-        for coloring in block_balanced_colorings(word):
-            sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
-            colored = gram_matrix_colored([pairings[i] for i in sel], word, coloring, quotient)
-            nc_local = [k for k, i in enumerate(sel) if i in nc_indices]
-            cokernel = colored.column_submatrix(nc_local).left_nullspace_basis()
-            if not cokernel:
-                continue
-            for row in (ExactMatrix(cokernel, cols=len(sel)) @ colored).row_list():
-                full_row = [0] * len(pairings)
-                for k, i in enumerate(sel):
-                    full_row[i] = row[k]
-                if any(full_row):
-                    expected.setdefault(tuple(full_row))
-        assert rows == [list(r) for r in expected], str(word)
+        check_constraint_rows_by_colorings(word, ambient, quotient)
+
+
+def test_constraint_rows_by_colorings_on_a_length_10_word():
+    """The same route past length 8, where colorings outnumber the distinct
+    colored subproblems most (252 against 27 here)."""
+    check_constraint_rows_by_colorings(
+        parse_word("uuUuUUuUuU"), AmbientSpec(4), QuotientSpec(2, 2)
+    )
+
+
+@pytest.mark.parametrize("n,d_w,d_u,distinct", [(4, 2, 2, 27), (5, 4, 1, 52)])
+def test_fullness_system_solves_each_colored_subproblem_once(n, d_w, d_u, distinct, monkeypatch):
+    """One cokernel per distinct (colored Gram rows, non-crossing positions)
+    pair, counted here from block_balanced_colorings and gram_matrix_colored."""
+    word, quotient = parse_word("uuUuUUuUuU"), QuotientSpec(d_w, d_u)
+    pairings = enumerate_pairings(word)
+    nc_set = set(enumerate_noncrossing(word))
+    colorings = block_balanced_colorings(word)
+    subproblems = set()
+    for coloring in colorings:
+        selected = [p for p in pairings if is_block_respecting(p, coloring)]
+        colored = gram_matrix_colored(selected, word, coloring, quotient).row_list()
+        nc_local = tuple(k for k, p in enumerate(selected) if p in nc_set)
+        subproblems.add((tuple(map(tuple, colored)), nc_local))
+    assert (len(colorings), len(subproblems)) == (252, distinct)
+    calls = []
+    cokernel = coinvariants._cokernel
+
+    def spy(gram_rows, inside):
+        calls.append(len(inside))
+        return cokernel(gram_rows, inside)
+
+    monkeypatch.setattr(coinvariants, "_cokernel", spy)
+    fullness_system(word, AmbientSpec(n), quotient)
+    assert len(calls) == len(subproblems)
 
 
 def test_fullness_system_shapes():
