@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -158,6 +159,8 @@ def cmd_separate(args) -> tuple[dict, dict, bool, list | None]:
     return parameters, result, True, None
 
 
+# parse_args leaves the parser as it was, so one per process serves every main call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeqg",

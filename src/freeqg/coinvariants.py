@@ -5,12 +5,12 @@ A pairing p of a word defines a functional T_p on the word's tensor space by
 a product of Kronecker deltas along the arcs.  Inner products of these
 functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
-size of the block it stays in.  One routine builds every Gram matrix: it walks
-the overlay of each pair of pairings at most once, on plain integer lists, and
-the ambient and colored matrices differ only in how they weigh its loops, so
-fullness_system weighs one walk of all pairs for the ambient matrix and every
-coloring.  Every Gram entry is a product of powers of n, d_w and d_u, so all
-span and rank questions are settled exactly by integer elimination.
+size of the block it stays in.  One routine builds every Gram matrix,
+composing each pair's slot permutation by bytes.translate and walking each
+distinct one once; ambient and colored matrices differ only in how they weigh
+its loops, so fullness_system weighs one walk of all pairs for the ambient
+matrix and every coloring.  Every Gram entry is a product of powers of n, d_w
+and d_u, so all span and rank questions are settled by integer elimination.
 
 Span membership has one routine, _cokernel: a vector lies in the span of
 some Gram columns iff their cokernel annihilates it, and as every Gram matrix
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import mul
 
 import numpy as np
 
@@ -112,16 +112,37 @@ class FullnessVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> ExactMatrix:
-    """Symmetric matrix of weight(mask) over all pairs of pairings (which must
-    respect the coloring, if given); mask has one bit per loop of the overlay
-    of p_i and p_j, at the 0-based position of the loop's least V slot.  With
-    V slot s joined to V* slot fwd[s] and V* slot t to V slot back[t], the
-    loops follow the cycles of sigma = back_q o fwd_p, so each distinct sigma
-    is walked once and every pair with that sigma shares its weight."""
+class _LoopWeights(dict):
+    """sigma -> weight(mask) of its cycles, as in _loop_gram; walks each new sigma once."""
+
+    def __init__(self, weight, plain):
+        self.weight, self.plain = weight, plain
+
+    def __missing__(self, sigma: bytes):
+        mask, seen = 0, 0
+        for start in range(len(sigma)):
+            if not seen >> start & 1:
+                mask |= 1 << self.plain[start] - 1
+                s = start
+                while not seen >> s & 1:
+                    seen |= 1 << s
+                    s = sigma[s]
+        return self.setdefault(sigma, self.weight(mask))
+
+
+def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> list[list]:
+    """Rows of the symmetric matrix of weight(mask) over all pairs of pairings
+    (which must respect the coloring, if given); mask has one bit per loop of
+    the overlay of p_i and p_j, at the 0-based position of the loop's least V
+    slot.  With V slot s joined to V* slot fwd[s] and V* slot t to V slot
+    back[t], the loops follow the cycles of sigma = back_q o fwd_p, composed in
+    C as fwd_p.translate(back_q) from bytes fwd_p and a 256-byte table back_q
+    (hence at most 256 V slots); each distinct sigma is walked once."""
     if coloring is not None and len(coloring) != len(word):
         raise ValueError("coloring length does not match word length")
     plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
+    if len(plain) > 256:
+        raise ValueError(f"{len(plain)} u letters exceed the 256-slot limit of the Gram routine")
     slot = {pos: s for side in (plain, star) for s, pos in enumerate(side)}
     fwd, back = [], []
     for p in pairings:
@@ -130,27 +151,10 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
         if coloring is not None and not is_block_respecting(p, coloring):
             raise ValueError(f"{p} does not respect the coloring {coloring!s}")
         partner = p.partner()
-        fwd.append([slot[partner[x]] for x in plain])
-        back.append([slot[partner[y]] for y in star])
-    rows = [[0] * len(fwd) for _ in fwd]
-    weights: dict = {}
-    for i, f in enumerate(fwd):
-        compose = itemgetter(*f) if f else tuple
-        for j in range(i, len(fwd)):
-            sigma = compose(back[j])
-            value = weights.get(sigma)
-            if value is None:
-                b, mask, seen = back[j], 0, 0
-                for start in range(len(f)):
-                    if not seen >> start & 1:
-                        mask |= 1 << plain[start] - 1
-                        s = start
-                        while not seen >> s & 1:
-                            seen |= 1 << s
-                            s = b[f[s]]
-                value = weights[sigma] = weight(mask)
-            rows[i][j] = rows[j][i] = value
-    return ExactMatrix(rows, cols=len(rows))
+        fwd.append(bytes([slot[partner[x]] for x in plain]))
+        back.append(bytes([slot[partner[y]] for y in star]).ljust(256, b"\0"))
+    weights = _LoopWeights(weight, plain)
+    return [list(map(weights.__getitem__, map(f.translate, back))) for f in fwd]
 
 
 def _colored_weight(wmask: int, quotient: QuotientSpec):
@@ -164,7 +168,8 @@ def _colored_weight(wmask: int, quotient: QuotientSpec):
 def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
     """Gram matrix of pairing functionals: entry (i, j) is n^loops(p_i, p_j)."""
     n = ambient.n
-    return _loop_gram(pairings, word, lambda mask: n ** mask.bit_count())
+    rows = _loop_gram(pairings, word, lambda mask: n ** mask.bit_count())
+    return ExactMatrix(rows, cols=len(rows))
 
 
 def gram_matrix_colored(
@@ -176,7 +181,8 @@ def gram_matrix_colored(
     d_w^(W loops) * d_u^(U loops) of the overlay of p_i and p_j.
     """
     wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
-    return _loop_gram(pairings, word, _colored_weight(wmask, quotient), coloring)
+    rows = _loop_gram(pairings, word, _colored_weight(wmask, quotient), coloring)
+    return ExactMatrix(rows, cols=len(rows))
 
 
 def realize_functional(
@@ -314,7 +320,7 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     nc_indices = [i for i, p in enumerate(pairings) if p in nc_set]
     nc_index_set = set(nc_indices)
     # the loops of every pair, walked once and reused by every coloring
-    masks = _loop_gram(pairings, word, lambda mask: mask).row_list()
+    masks = _loop_gram(pairings, word, lambda mask: mask)
     n = ambient.n
     gram = ExactMatrix([[n ** m.bit_count() for m in row] for row in masks], cols=len(pairings))
     # a pairing respects exactly the colorings whose W slots (bit pos - 1) are

@@ -76,6 +76,33 @@ def test_fullness_sweep_csv(capsys):
     ]
 
 
+def test_cached_parser_matches_a_fresh_one_back_to_back(capsys):
+    """main builds its parser once per process; commands run back to back on
+    it print what they print on a freshly built parser."""
+    runs = [
+        ["pairings", "--word", "uuUU", "--noncrossing"],
+        ["pairings", "--word", "uuUU"],
+        ["fullness", "--max-len", "4", "--n", "4", "--dw", "2", "--du", "2", "--explore"],
+        ["fullness", "--max-len", "4", "--n", "4", "--dw", "2", "--du", "2"],
+    ]
+
+    def output(argv):
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        del report["timing_ms"]
+        return code, report
+
+    cli.build_parser.cache_clear()
+    back_to_back = [output(argv) for argv in runs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(output(argv))
+    assert back_to_back == fresh
+    assert [report["result"].get("count") for _, report in back_to_back[:2]] == [1, 2]
+
+
 def test_fullness_parallel_matches_serial(capsys, monkeypatch):
     argv = ["fullness", "--max-len", "6", "--n", "2", "--dw", "1", "--du", "1"]
     monkeypatch.delenv("QGI_THREADS", raising=False)

@@ -35,6 +35,7 @@ from freeqg.words import (
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
+    is_noncrossing,
     loop_decomposition,
     parse_coloring,
     parse_word,
@@ -155,27 +156,79 @@ def test_colored_gram_matches_dense_realization(text, quotient):
                 assert int(np.dot(vi, vj)) == gram.entry(i, j), (str(coloring), i, j)
 
 
-@pytest.mark.parametrize("text", [str(w) for w in balanced_words(8)])
-def test_gram_matrices_match_loop_decomposition(text):
-    """Both Gram routines, entry by entry, against the loop-count formula."""
-    word = parse_word(text)
-    pairings = enumerate_pairings(word)
+def check_grams_by_loop_decomposition(word, pairings, colorings):
+    """Ambient and colored Gram matrices of this pairing list, in its order,
+    entry by entry against the loop-count formula; each coloring weighs the
+    listed pairings that respect it."""
     grams = {n: gram_matrix(pairings, word, AmbientSpec(n)) for n in (2, 3, 5)}
+    for gram in grams.values():
+        assert (gram.rows, gram.cols) == (len(pairings), len(pairings))
     for i, p in enumerate(pairings):
         for j, q in enumerate(pairings):
             loops = loop_decomposition(p, q).count
             for n, gram in grams.items():
                 assert gram.entry(i, j) == n**loops, (n, i, j)
     quotients = (QuotientSpec(2, 1), QuotientSpec(4, 1))
-    for coloring in block_balanced_colorings(word):
+    for coloring in colorings:
         selected = [p for p in pairings if is_block_respecting(p, coloring)]
         colored = [gram_matrix_colored(selected, word, coloring, qt) for qt in quotients]
+        for gram in colored:
+            assert (gram.rows, gram.cols) == (len(selected), len(selected))
         for i, p in enumerate(selected):
             for j, q in enumerate(selected):
                 dec = loop_decomposition(p, q, coloring)
                 for qt, gram in zip(quotients, colored):
                     expected = qt.d_w ** dec.count_in(Block.W) * qt.d_u ** dec.count_in(Block.U)
                     assert gram.entry(i, j) == expected, (str(coloring), i, j)
+
+
+@pytest.mark.parametrize("text", [str(w) for w in balanced_words(8)])
+def test_gram_matrices_match_loop_decomposition(text):
+    """Both Gram routines, entry by entry, against the loop-count formula."""
+    word = parse_word(text)
+    check_grams_by_loop_decomposition(word, enumerate_pairings(word), block_balanced_colorings(word))
+
+
+@pytest.mark.parametrize(
+    "arrange",
+    [
+        lambda ps: ps[::-1],
+        lambda ps: [ps[2], ps[0], ps[2], ps[1], ps[0]],
+        lambda ps: ps[3:4],
+        lambda ps: [],
+    ],
+    ids=["reversed", "duplicated", "single", "empty"],
+)
+@pytest.mark.parametrize("text", ["uuuUUU", "uUuUuU", "uuUuUUuU"])
+def test_gram_matrices_of_rearranged_pairing_lists(text, arrange):
+    """Gram matrices follow the given list, whatever its order or repeats."""
+    word = parse_word(text)
+    pairings = arrange(enumerate_pairings(word))
+    check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
+
+
+def test_gram_matrices_of_a_long_alternating_word():
+    """The first 14 non-crossing pairings of (uU)^20 in enumeration order are
+    the adjacent arcs up to slot 32 followed by a non-crossing pairing of the
+    last eight slots, (uU)^4 shifted by 32."""
+    word = parse_word("uU" * 20)
+    prefix = tuple((2 * i + 1, 2 * i + 2) for i in range(16))
+    tail = enumerate_noncrossing(parse_word("uU" * 4))
+    pairings = [Pairing(prefix + tuple((a + 32, b + 32) for a, b in p.arcs)) for p in tail]
+    assert all(p.is_pairing_of(word) and is_noncrossing(p) for p in pairings)
+    colorings = [parse_coloring(c) for c in ("W" * 40, "W" * 32 + "U" * 8, "WWUU" * 10)]
+    check_grams_by_loop_decomposition(word, pairings, colorings)
+
+
+def test_gram_routine_names_its_256_slot_limit():
+    """Slots are composed as bytes, so a word has at most 256 u letters."""
+    at_limit = parse_word("uU" * 256)
+    pairing = Pairing(tuple((2 * i + 1, 2 * i + 2) for i in range(256)))
+    assert gram_matrix([pairing], at_limit, AmbientSpec(2)).row_list() == [[2**256]]
+    over = parse_word("uU" * 257)
+    pairing = Pairing(tuple((2 * i + 1, 2 * i + 2) for i in range(257)))
+    with pytest.raises(ValueError, match="256-slot limit"):
+        gram_matrix([pairing], over, AmbientSpec(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
