@@ -296,6 +296,13 @@ def test_nc_rank_full_from_n_2_and_one_at_n_1(monkeypatch):
         assert nc_rank(word, AmbientSpec(1)) == 1
         assert bareiss == ([count] if count > 1 else [])
         bareiss.clear()
+    # the two length-12 words with a non-crossing pairing on every Catalan
+    # diagram: the largest Gram matrices of the rank certificate
+    for word in map(parse_word, ("uU" * 6, "Uu" * 6)):
+        assert len(enumerate_noncrossing(word)) == 132
+        for n in (2, 3, 5):
+            assert nc_rank(word, AmbientSpec(n)) == 132, (str(word), n)
+    assert not bareiss
 
 
 @pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])

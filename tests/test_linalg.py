@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from freeqg import linalg
 from freeqg.linalg import ExactMatrix
 
-P = (1 << 61) - 1  # the prime of the modular pivot search
+P = linalg._P  # the prime of the modular pivot search
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -207,6 +208,64 @@ def test_tall_rank_deficient_kernels_match_all_rows(rows, inner, cols, bound, mo
     assert basis == all_rows_kernel(m, monkeypatch)
     assert len(basis) == cols - rank
     check_kernel_basis(m, basis)
+
+
+def rank_mod_p(entries, cols):
+    """Rank over GF(P) by sympy's own elimination."""
+    field = sympy.GF(P)
+    return DomainMatrix([[field(x) for x in row] for row in entries], (len(entries), cols), field).rank()
+
+
+def check_pivots_mod_p(entries, cols):
+    """The pivot count is the rank mod P, and the rows named, sorted and
+    distinct with distinct columns, are independent mod P."""
+    pivots = linalg._pivots_mod_p(entries, cols)
+    assert pivots == sorted(pivots)
+    assert len({r for r, _ in pivots}) == len({c for _, c in pivots}) == len(pivots)
+    assert len(pivots) == rank_mod_p(entries, cols)
+    assert rank_mod_p([entries[r] for r, _ in pivots], cols) == len(pivots)
+    return pivots
+
+
+def pivot_test_entry(rng):
+    """Small ints, the residue P - 1 in both signs, multiples of P plus a
+    small offset, and entries of 10^40."""
+    return rng.choice(
+        [
+            lambda: rng.randint(-3, 3),
+            lambda: P - 1,
+            lambda: -1,
+            lambda: rng.randint(-5, 5) * P + rng.randint(-2, 2),
+            lambda: rng.choice((-1, 1)) * 10**40 + rng.randint(-2, 2),
+        ]
+    )()
+
+
+@pytest.mark.parametrize(
+    "rows,inner,cols",
+    [(1, 1, 1), (5, 5, 5), (17, 17, 17), (60, 40, 60), (132, 90, 132),
+     (400, 24, 24), (400, 9, 24), (24, 24, 400), (10, 4, 60)],
+)
+def test_pivot_search_matches_rank_over_gf_p(rows, inner, cols):
+    """Random products of a rows x inner and an inner x cols matrix, so
+    that some are rank-deficient, with entries chosen to exercise the
+    reduction into [0, P) and the largest residues."""
+    rng = random.Random(rows * 10**6 + inner * 1000 + cols)
+    left = [[pivot_test_entry(rng) for _ in range(inner)] for _ in range(rows)]
+    right = [[pivot_test_entry(rng) for _ in range(cols)] for _ in range(inner)]
+    check_pivots_mod_p(left, inner)
+    check_pivots_mod_p(right, cols)
+    check_pivots_mod_p((ExactMatrix(left) @ ExactMatrix(right)).row_list(), cols)
+
+
+def test_pivot_search_edge_cases():
+    assert check_pivots_mod_p([], 4) == []
+    assert check_pivots_mod_p([[], [], []], 0) == []
+    assert check_pivots_mod_p([[0] * 7] * 5, 7) == []
+    assert check_pivots_mod_p([[P, 2 * P], [-P, 0]], 2) == []
+    # every entry P - 1: rank 1, with products as large as the search makes
+    assert check_pivots_mod_p([[P - 1] * 132] * 132, 132) == [(0, 0)]
+    assert check_pivots_mod_p([[0, P - 1], [P - 1, 0], [1, 1]], 2) == [(0, 1), (1, 0)]
 
 
 def test_left_nullspace():
