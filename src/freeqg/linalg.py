@@ -1,21 +1,20 @@
-"""Dense exact linear algebra on plain Python ints.
-
-Forward elimination is fraction-free (Bareiss, Math. Comp. 22, 1968) with
-first-nonzero pivoting: each division by the previous pivot is exact, so `//`
-never rounds.  Back-substitution scales the unknowns by the last pivot, which
-by Cramer's rule keeps them integral.  Fractions appear only where a rational
-is the answer: the column-space certificate, and vectors handed to `matvec`
-or `in_column_space`.  Floats are rejected outright.
+"""Dense exact linear algebra on plain Python ints, with one exact solver.
 
 A pivot search modulo the prime p = 2^31 - 1 runs first, as a dense
 elimination in numpy int64: entries lie in [0, p), so every product of two
 is below 2^62 and no step overflows.  A minor that is nonzero mod p is a
 nonzero integer, so the modular rank is a proven lower bound on the exact
-rank: when it is full, `rank` skips Bareiss.  A tall kernel (a length-10
-constraint system has 1750 distinct rows over 120 columns) is eliminated
-exactly on the modular pivot rows only; kernel vectors that pass the check
-against all rows prove the two kernels equal, and otherwise all rows are
-eliminated.
+rank: when it is full, `rank` skips exact elimination.
+
+Exact elimination serves only `nullspace_basis` and the fallback of `rank`;
+`in_column_space` reads its certificate off the kernel of an augmented
+matrix.  A tall kernel (a length-10 constraint system has 1750 distinct
+rows over 120 columns) is eliminated on the modular pivot rows only; kernel
+vectors that pass the check against all rows prove the two kernels equal,
+and otherwise all rows are eliminated.  The elimination is fraction-free
+(Bareiss, Math. Comp. 22, 1968) with first-nonzero pivoting, so each `//`
+is exact.  Fractions appear only where a rational is the answer; floats
+are rejected outright.
 """
 
 from __future__ import annotations
@@ -59,17 +58,6 @@ def _primitive(vec: list[int]) -> list[int]:
     if next(v for v in vec if v) < 0:
         g = -g
     return [v // g for v in vec]
-
-
-def _back_substitute(data, pivots, x: list[int], rhs: list[int]) -> list[int]:
-    """Fill x at each pivot (r, c), last pivot first, so that row r of the
-    echelon form `data` dotted with x equals rhs[r].  The divisions are exact
-    when the true solution is integral; callers re-check x by multiplication."""
-    n = len(x)
-    for r, c in reversed(pivots):
-        row = data[r]
-        x[c] = (rhs[r] - sum(map(mul, row[c + 1:n], x[c + 1:]))) // row[c]
-    return x
 
 
 def _pivots_mod_p(rows, n_cols: int) -> list[tuple[int, int]]:
@@ -133,12 +121,14 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
+    # kept for __matmul__, left_nullspace_basis and perfbench/spans.py METHODS
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
 
+    # no caller in src/; kept because perfbench/spans.py METHODS pins it by name
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -196,16 +186,11 @@ class ExactMatrix:
             r += 1
         return data, pivots
 
-    def pivot_columns(self) -> list[int]:
-        """Indices of the columns outside the span of the columns before them;
-        their count is the rank."""
-        return [c for _, c in self._echelon()[1]]
-
     def rank(self) -> int:
         modular = len(_pivots_mod_p(self._data, self.cols))
         if modular == min(self.rows, self.cols):
             return modular
-        return len(self.pivot_columns())
+        return len(self._echelon()[1])
 
     def nullspace_basis(self) -> list[list[int]]:
         """Basis of the right kernel, one primitive integer vector per free column.
@@ -228,13 +213,19 @@ class ExactMatrix:
                 if t < len(pivots) and pivots[t][1] == free:
                     t += 1
                     continue
+                # back-substitute the pivots left of free, last first; the
+                # entries right of free are zero
                 x = [0] * self.cols
                 x[free] = data[t - 1][pivots[t - 1][1]] if t else 1
-                basis.append(_primitive(_back_substitute(data, pivots[:t], x, [0] * t)))
+                for r, c in reversed(pivots[:t]):
+                    row = data[r]
+                    x[c] = -sum(map(mul, row[c + 1:free + 1], x[c + 1:free + 1])) // row[c]
+                basis.append(_primitive(x))
             if not any(any(self.matvec(x)) for x in basis):
                 return basis
         raise VerificationError("kernel vector fails verification")
 
+    # no caller in src/; kept because perfbench/spans.py METHODS pins it by name
     def left_nullspace_basis(self) -> list[list[int]]:
         """Row vectors y with y @ self == 0 (basis of the cokernel)."""
         return self.transpose().nullspace_basis()
@@ -243,8 +234,11 @@ class ExactMatrix:
         """Decide exactly whether vec (ints or Fractions) lies in the column space.
 
         Returns (True, x) with self @ x == vec and x a list of Fractions, or
-        (False, None).  The certificate x is re-checked by multiplication
-        before returning.
+        (False, None).  With s the lcm of the denominators of vec, vec lies
+        in the span iff the last column of [self | s * vec] is free, that is,
+        iff its last kernel basis vector (y, t) has t != 0; then
+        x = -y / (t * s), which is zero at every non-pivot column.  The
+        certificate x is re-checked by multiplication before returning.
         """
         vec = _as_exact(vec)
         if len(vec) != self.rows:
@@ -254,13 +248,11 @@ class ExactMatrix:
             [row + (v.numerator * (scale // v.denominator),) for row, v in zip(self._data, vec)],
             cols=self.cols + 1,
         )
-        data, pivots = aug._echelon()
-        if pivots and pivots[-1][1] == self.cols:
+        basis = aug.nullspace_basis()
+        if not basis or not basis[-1][-1]:
             return False, None
-        last = data[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-        rhs = [last * data[r][self.cols] for r, _ in pivots]
-        x = _back_substitute(data, pivots, [0] * self.cols, rhs)
-        x = [Fraction(v, last * scale) for v in x]
+        *y, t = basis[-1]
+        x = [Fraction(-v, t * scale) for v in y]
         if self.matvec(x) != vec:
             raise VerificationError("column space certificate fails verification")
         return True, x

@@ -281,13 +281,13 @@ def test_nc_rank_full_from_n_2_and_one_at_n_1(monkeypatch):
     Phys. 191, 1998): the modular rank is full and certifies it.  At n = 1
     every entry is 1, so the modular rank falls short and Bareiss decides."""
     bareiss = []
-    pivot_columns = ExactMatrix.pivot_columns
+    echelon = ExactMatrix._echelon
 
     def spy(self):
         bareiss.append(self.rows)
-        return pivot_columns(self)
+        return echelon(self)
 
-    monkeypatch.setattr(ExactMatrix, "pivot_columns", spy)
+    monkeypatch.setattr(ExactMatrix, "_echelon", spy)
     for word in balanced_words(10):
         count = len(enumerate_noncrossing(word))
         for n in (2, 3, 5):

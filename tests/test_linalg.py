@@ -157,8 +157,8 @@ def all_rows_kernel(m, monkeypatch):
         return m.nullspace_basis()
 
 
-def kernel_and_eliminated_rows(m, monkeypatch):
-    """nullspace_basis, and the row count of every matrix it eliminated."""
+def eliminated_rows(call, monkeypatch):
+    """call(), and the row count of every matrix it eliminated exactly."""
     eliminated = []
     echelon = ExactMatrix._echelon
 
@@ -168,24 +168,26 @@ def kernel_and_eliminated_rows(m, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ExactMatrix, "_echelon", spy)
-        return m.nullspace_basis(), eliminated
+        return call(), eliminated
 
 
-@pytest.mark.parametrize(
-    "entries,eliminated",
-    [
-        ([[P, 1], [0, 0], [0, 0]], [1]),  # the modular pivot row suffices
-        ([[P], [0]], [0, 2]),  # no modular pivot, so every row is needed
-        ([[1, 0, 0], [0, P, 0], [0, 0, 0], [0, 0, 0]], [1, 4]),
-        ([[2 * P, P], [P, 3 * P], [P, P]], [0, 3]),
-        ([[P, 0], [0, 1]], [2]),  # not tall: all rows at once
-    ],
-)
+# matrices with a minor that P divides, and the row counts their kernels
+# eliminate
+PRIME_DIVIDES_A_MINOR = [
+    ([[P, 1], [0, 0], [0, 0]], [1]),  # the modular pivot row suffices
+    ([[P], [0]], [0, 2]),  # no modular pivot, so every row is needed
+    ([[1, 0, 0], [0, P, 0], [0, 0, 0], [0, 0, 0]], [1, 4]),
+    ([[2 * P, P], [P, 3 * P], [P, P]], [0, 3]),
+    ([[P, 0], [0, 1]], [2]),  # not tall: all rows at once
+]
+
+
+@pytest.mark.parametrize("entries,eliminated", PRIME_DIVIDES_A_MINOR)
 def test_prime_dividing_a_minor_falls_back_to_all_rows(entries, eliminated, monkeypatch):
     m = ExactMatrix(entries)
     theirs = sympy.Matrix(entries)
-    assert m.rank() == theirs.rank() == len(m.pivot_columns())
-    basis, seen = kernel_and_eliminated_rows(m, monkeypatch)
+    assert m.rank() == theirs.rank()
+    basis, seen = eliminated_rows(m.nullspace_basis, monkeypatch)
     assert seen == eliminated
     assert basis == all_rows_kernel(m, monkeypatch)
     assert len(basis) == len(theirs.nullspace())
@@ -203,7 +205,7 @@ def test_tall_rank_deficient_kernels_match_all_rows(rows, inner, cols, bound, mo
     m = left @ right
     rank = sympy.Matrix(m.row_list()).rank()
     assert m.rank() == rank
-    basis, seen = kernel_and_eliminated_rows(m, monkeypatch)
+    basis, seen = eliminated_rows(m.nullspace_basis, monkeypatch)
     assert seen == [rank]
     assert basis == all_rows_kernel(m, monkeypatch)
     assert len(basis) == cols - rank
@@ -310,6 +312,53 @@ def test_in_column_space_random_consistency():
         assert m.in_column_space(outside)[0] == expected
 
 
+def check_certificate(entries, vec):
+    """in_column_space agrees with sympy on membership, and its certificate
+    solves the system and is zero at every non-pivot column of the rref."""
+    m = ExactMatrix(entries)
+    theirs = sympy.Matrix(entries)
+    ok, x = m.in_column_space(vec)
+    assert ok == (theirs.rank() == theirs.row_join(sympy.Matrix(vec)).rank())
+    if ok:
+        assert m.matvec(x) == vec
+        pivots = set(theirs.rref()[1])
+        assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
+    else:
+        assert x is None
+
+
+def test_tall_in_column_space_eliminates_the_modular_pivot_rows(monkeypatch):
+    m = ExactMatrix([[1, 0], [0, 1], [1, 1], [2, 3]])
+    result, seen = eliminated_rows(lambda: m.in_column_space([2, 3, 5, 13]), monkeypatch)
+    assert result == (True, [2, 3])
+    assert seen == [2]
+    # augmented, this is [[P, 1], [0, 0], [0, 0]]: its modular pivot row suffices
+    m = ExactMatrix([[P], [0], [0]])
+    result, seen = eliminated_rows(lambda: m.in_column_space([1, 0, 0]), monkeypatch)
+    assert result == (True, [Fraction(1, P)])
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("entries", [entries for entries, _ in PRIME_DIVIDES_A_MINOR])
+def test_in_column_space_where_the_prime_divides_a_minor(entries):
+    m = ExactMatrix(entries)
+    columns = [list(col) for col in zip(*entries)]
+    units = [[int(i == j) for i in range(m.rows)] for j in range(m.rows)]
+    for vec in columns + units + [[Fraction(v, P) for v in col] for col in columns]:
+        check_certificate(entries, vec)
+
+
+def test_certificates_vanish_off_the_pivot_columns():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows, inner, cols = rng.randint(1, 9), rng.randint(1, 4), rng.randint(1, 5)
+        m = ExactMatrix(random_int_matrix(rng, rows, inner, -3, 3)) @ ExactMatrix(
+            random_int_matrix(rng, inner, cols, -3, 3)
+        )
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+        check_certificate(m.row_list(), m.matvec(coeffs))
+
+
 def test_zero_row_and_zero_column_edges():
     no_rows = ExactMatrix([], cols=2)
     assert no_rows.rank() == 0
@@ -396,6 +445,6 @@ def test_self_checks_survive_python_O():
         "kernel kernel vector fails verification",
         "tall kernel vector fails verification",
         "tall eliminated rows [1, 3]",
-        "certificate column space certificate fails verification",
+        "certificate kernel vector fails verification",
         "witness witness fails re-verification",
     ]
