@@ -238,21 +238,21 @@ class ExactMatrix:
         in the span iff the last column of [self | s * vec] is free, that is,
         iff its last kernel basis vector (y, t) has t != 0; then
         x = -y / (t * s), which is zero at every non-pivot column.  The
-        certificate x is re-checked by multiplication before returning.
+        certificate is re-checked in ints before returning, as
+        self @ y == -t * (s * vec).
         """
         vec = _as_exact(vec)
         if len(vec) != self.rows:
             raise ValueError(f"vector length {len(vec)} does not match {self.rows} rows")
         scale = lcm(*(v.denominator for v in vec))
+        column = [v.numerator * (scale // v.denominator) for v in vec]
         aug = ExactMatrix(
-            [row + (v.numerator * (scale // v.denominator),) for row, v in zip(self._data, vec)],
-            cols=self.cols + 1,
+            [row + (c,) for row, c in zip(self._data, column)], cols=self.cols + 1
         )
         basis = aug.nullspace_basis()
         if not basis or not basis[-1][-1]:
             return False, None
         *y, t = basis[-1]
-        x = [Fraction(-v, t * scale) for v in y]
-        if self.matvec(x) != vec:
+        if self.matvec(y) != [-t * c for c in column]:
             raise VerificationError("column space certificate fails verification")
-        return True, x
+        return True, [Fraction(-v, t * scale) for v in y]

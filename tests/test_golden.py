@@ -1,7 +1,9 @@
 """Golden CLI outputs: exit code plus the JSON report minus `timing_ms`, or
-the CSV text, for a fixed set of invocations; and golden `parse_poly`
-outcomes: the terms, or the error class, message and position, for a fixed
-set of polynomial strings.
+the CSV text, for a fixed set of invocations; golden `parse_poly` outcomes:
+the terms, or the error class, message and position, for a fixed set of
+polynomial strings; and golden `separate` outcomes: whether a witness was
+found and at which trial, or the error message, for every strategy, n, d and
+family over a few seeds.
 
 The golden files are written by running this module as a script:
 
@@ -15,13 +17,15 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freeqg.cli import main
-from freeqg.reps import parse_poly
+from freeqg.reps import SeparationStrategy, evaluate, parse_poly, separate
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 POLY_GOLDEN = GOLDEN.with_name("poly.json")
+SEPARATE_GOLDEN = GOLDEN.with_name("separate.json")
 
 CASES = [
     ["pairings", "--word", "uUuUuU"],
@@ -118,6 +122,27 @@ POLY_CASES = [
 ] + _random_poly_cases(400, seed=7)
 
 
+# (family, polynomial template); {b} is the second index,
+# 2 where n >= 2 and 1 at n = 1, where the commutators become zero.  Family
+# 'B' is drawn with every kind, so the rejected kinds are recorded too.
+SEPARATE_POLYS = [
+    ("A", "u11 u1{b} - u1{b} u11"),
+    ("A", "u11 u11' - 1"),
+    ("B", "v11 v{b}1 - v{b}1 v11"),
+    ("B", "v11 v11 - 1"),
+]
+SEPARATE_CASES = [
+    (family, template.format(b=min(n, 2)), kind, n, d, seed)
+    for family, template in SEPARATE_POLYS
+    for kind in ("point", "freeproduct", "block", "lift")
+    for n in range(1, 5)
+    for d in (1, 2, 3, 4)
+    for seed in (0, 7, 100)
+]
+SEPARATE_TRIALS = 5
+SEPARATE_TOL = 1e-6
+
+
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -148,6 +173,25 @@ def parse_case(text, n, family):
     return case
 
 
+def search(family, text, kind, n, d, seed):
+    poly = parse_poly(text, n, family)
+    return separate(
+        poly, SeparationStrategy(kind, d), SEPARATE_TRIALS, seed, SEPARATE_TOL
+    )
+
+
+def separate_case(family, text, kind, n, d, seed):
+    case = {"family": family, "poly": text, "kind": kind, "n": n, "d": d, "seed": seed}
+    try:
+        witness = search(family, text, kind, n, d, seed)
+    except ValueError as exc:
+        case["error"] = str(exc)
+    else:
+        case["found"] = witness is not None
+        case["trial"] = None if witness is None else witness.trial
+    return case
+
+
 def load_golden():
     with open(GOLDEN) as handle:
         return {" ".join(case["argv"]): case for case in json.load(handle)}
@@ -174,6 +218,31 @@ def test_parse_poly_matches_golden():
     assert mismatches == []
 
 
+def test_separate_matches_golden():
+    with open(SEPARATE_GOLDEN) as handle:
+        golden = json.load(handle)
+    assert [
+        (case["family"], case["poly"], case["kind"], case["n"], case["d"], case["seed"])
+        for case in golden
+    ] == SEPARATE_CASES
+    assert [separate_case(*case) for case in SEPARATE_CASES] == golden
+    found = [case for case in golden if case.get("found")]
+    assert 0 < len(found) < len(golden)
+
+
+def test_separate_witness_norms_match_unbatched_oracle():
+    # every witness norm is the largest singular value of the evaluated
+    # polynomial, computed here by numpy's own matrix 2-norm
+    with open(SEPARATE_GOLDEN) as handle:
+        found = [case for case in json.load(handle) if case.get("found")]
+    for case in found:
+        key = [case[k] for k in ("family", "poly", "kind", "n", "d", "seed")]
+        witness = search(*key)
+        poly = parse_poly(case["poly"], case["n"], case["family"])
+        assert witness.norm == np.linalg.norm(evaluate(poly, witness.rep), 2)
+        assert witness.norm > SEPARATE_TOL
+
+
 def write(path, cases):
     with open(path, "w") as handle:
         json.dump(cases, handle, indent=1, sort_keys=True)
@@ -185,3 +254,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     write(GOLDEN, [run(argv) for argv in CASES])
     write(POLY_GOLDEN, [parse_case(*case) for case in POLY_CASES])
+    write(SEPARATE_GOLDEN, [separate_case(*case) for case in SEPARATE_CASES])

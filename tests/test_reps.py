@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freeqg import reps
 from freeqg.reps import (
     Gen,
     MatrixRep,
@@ -73,6 +74,97 @@ def test_point_rep_rejects_non_unitary():
         point_rep(np.eye(2) * 0.5)
     with pytest.raises(ValueError):
         point_rep(np.ones((2, 3)))
+
+
+# diag(1 + delta) of size k against the 1e-12 input tolerance: the decision
+# and the message the SVD route gave before the Frobenius pre-check existed
+@pytest.mark.parametrize(
+    "k, delta, message",
+    [
+        (1, 0.495e-12, None),
+        (1, 0.499e-12, None),
+        (1, 0.501e-12, "point matrix is not unitary: residual 1.002e-12 exceeds 1e-12"),
+        (1, 0.505e-12, "point matrix is not unitary: residual 1.010e-12 exceeds 1e-12"),
+        (3, 0.495e-12, None),
+        (3, 0.499e-12, None),
+        (3, 0.501e-12, "point matrix is not unitary: residual 1.002e-12 exceeds 1e-12"),
+        (3, 0.505e-12, "point matrix is not unitary: residual 1.010e-12 exceeds 1e-12"),
+    ],
+)
+def test_unitary_input_check_at_tolerance(k, delta, message):
+    w = np.diag([1 + delta] * k)
+    if message is None:
+        assert point_rep(w).n == k
+    else:
+        with pytest.raises(ValueError) as err:
+            point_rep(w)
+        assert str(err.value) == message
+
+
+def test_unitary_input_check_falls_back_to_svd(monkeypatch):
+    calls = []
+
+    def counting_norm(mat):
+        calls.append(mat)
+        return operator_norm(mat)
+
+    monkeypatch.setattr(reps, "operator_norm", counting_norm)
+    tol = reps._UNITARY_INPUT_TOL
+    # Frobenius residual 6.9e-13 > tol/2, operator norm 4.0e-13 <= tol
+    w = np.diag([1 + 0.2e-12] * 3)
+    gap = w.T @ w - np.eye(3)
+    assert np.linalg.norm(gap) > tol / 2 and np.linalg.norm(gap, 2) <= tol
+    assert point_rep(w).n == 3
+    assert len(calls) == 1
+    # one diagonal slot: the Frobenius residual 4.0e-13 settles it
+    point_rep(np.diag([1 + 0.2e-12]))
+    point_rep(haar_unitary(4, np.random.default_rng(0)))
+    assert len(calls) == 1
+
+
+def _oracle_residuals(rep):
+    """Per-matrix numpy 2-norms of the relations check_relations reports."""
+    eye = np.eye(rep.n * rep.d)
+    residuals = []
+    for big in (rep.big_matrix(), rep.big_matrix(entrywise_adjoint=True)):
+        residuals.append(np.linalg.norm(big.conj().T @ big - eye, 2))
+        residuals.append(np.linalg.norm(big @ big.conj().T - eye, 2))
+    skew = [
+        np.linalg.norm(rep.images[i, j] - rep.images[i, j].conj().T, 2)
+        for i in range(rep.n)
+        for j in range(rep.n)
+    ]
+    return tuple(residuals), max(skew)
+
+
+def test_stacked_norms_match_per_matrix_oracle():
+    rng = np.random.default_rng(29)
+    drawn = [
+        SeparationStrategy(kind, d).draw(n, "A", rng)
+        for kind in ("point", "freeproduct", "block", "lift")
+        for n in (2, 3, 5)
+        for d in (1, 2, 3)
+    ]
+    drawn += [SeparationStrategy("point").draw(n, "B", rng) for n in (1, 2, 4)]
+    garbage = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+    drawn += [MatrixRep(family, 3, 2, garbage) for family in "AB"]
+    for rep in drawn:
+        report = check_relations(rep)
+        residuals, selfadjoint = _oracle_residuals(rep)
+        assert report.residuals == residuals
+        assert all(type(r) is float for r in report.residuals)
+        if rep.family == "B":
+            assert report.selfadjoint_residual == selfadjoint
+            assert type(report.selfadjoint_residual) is float
+        else:
+            assert report.selfadjoint_residual is None
+    assert not check_relations(drawn[-1]).passed
+    assert check_relations(drawn[-1]).selfadjoint_residual > 0.1
+    for shape in ((1, 1), (3, 3), (2, 5), (6, 4)):
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert operator_norm(mat) == np.linalg.norm(mat, 2)
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert operator_norm(np.zeros(shape)) == 0.0
 
 
 def test_evaluate_checks_compatibility():
