@@ -5,8 +5,10 @@ family 'B') are evaluated against concrete matrix representations, and random
 draws of such representations separate a nonzero polynomial from zero
 numerically.  This module is deliberately floating point: exactness lives in
 the combinatorial layers, here defining relations are checked up to explicit
-operator-norm tolerances, each stack of norms from one SVD call.  A unitary
-input whose Frobenius residual is at most half its tolerance skips the SVD.
+operator-norm tolerances.  A pass-or-fail check runs SVDs only when the
+Frobenius norm of its matrices, an upper bound, exceeds half the tolerance.
+Same-size Haar draws share one Gaussian block and one stacked QR, bit for bit
+the matrices of one-at-a-time draws.
 """
 
 from __future__ import annotations
@@ -205,13 +207,7 @@ class MatrixRep:
             "family": self.family,
             "n": self.n,
             "d": self.d,
-            "images": [
-                [
-                    [[[z.real, z.imag] for z in row] for row in self.images[i, j]]
-                    for j in range(self.n)
-                ]
-                for i in range(self.n)
-            ],
+            "images": np.stack((self.images.real, self.images.imag), axis=-1).tolist(),
         }
 
 
@@ -250,31 +246,57 @@ class RelationReport:
         return self.max_residual <= self.tol
 
 
+def _relation_gaps(rep: MatrixRep) -> list[np.ndarray]:
+    """Stacks of the matrices whose operator norms the relations bound: the
+    four unitarity gaps, then for family 'B' the skew parts of the blocks."""
+    bigs = (rep.big_matrix(), rep.big_matrix(entrywise_adjoint=True))
+    products = [x for big in bigs for x in (big.conj().T @ big, big @ big.conj().T)]
+    stacks = [np.stack(products) - np.eye(rep.n * rep.d)]
+    if rep.family == "B":
+        stacks.append(rep.images - np.swapaxes(rep.images.conj(), -1, -2))
+    return stacks
+
+
 def check_relations(rep: MatrixRep, tol: float = 1e-10) -> RelationReport:
     """Residuals of unitarity for the big matrix and its entrywise adjoint,
     plus block self-adjointness for family 'B'."""
-    products = []
-    for big in (rep.big_matrix(), rep.big_matrix(entrywise_adjoint=True)):
-        products += [big.conj().T @ big, big @ big.conj().T]
-    residuals = _largest_singular_values(np.stack(products) - np.eye(rep.n * rep.d))
-    selfadjoint = None
-    if rep.family == "B":
-        skew = rep.images - np.swapaxes(rep.images.conj(), -1, -2)
-        selfadjoint = float(_largest_singular_values(skew).max())
-    return RelationReport(tuple(residuals.tolist()), selfadjoint, tol)
+    gaps, *skew = _relation_gaps(rep)
+    selfadjoint = float(_largest_singular_values(skew[0]).max()) if skew else None
+    return RelationReport(tuple(_largest_singular_values(gaps).tolist()), selfadjoint, tol)
 
 
-def _require_unitary(mat, what: str) -> np.ndarray:
+def _unsettled_norms(stack: np.ndarray, tol: float) -> list[float]:
+    """Operator norms of the matrices in a stack, or of one matrix, unless
+    the Frobenius norm of the stack, which bounds them all, is at most tol/2:
+    then none.  NaN stands for a matrix with an inf or NaN entry."""
+    # below 1e-150 the squares that make up a Frobenius norm may underflow
+    if tol >= 1e-150 and np.vdot(stack, stack).real <= tol * tol / 4:
+        return []
+    mats = (stack[i] for i in np.ndindex(stack.shape[:-2]))
+    return [operator_norm(x) if np.isfinite(x).all() else math.nan for x in mats]
+
+
+def _require_relations(rep: MatrixRep, tol: float, what: str) -> None:
+    """Raise unless check_relations(rep, tol) passes, quoting its worst residual."""
+    norms = [x for stack in _relation_gaps(rep) for x in _unsettled_norms(stack, tol)]
+    worst = float(np.max(norms, initial=0.0))
+    if not worst <= tol:
+        raise ValueError(
+            f"{what} fails family {rep.family!r} relations: worst residual {worst:.3e}"
+        )
+
+
+def _require_unitary(mat, what: str, ndim: int = 2) -> np.ndarray:
+    """mat as a complex unitary matrix, or with ndim = 3 a stack of them;
+    what.format(k) names the first failing matrix k."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{what} must be a square matrix")
-    gap = mat.conj().T @ mat - np.eye(mat.shape[0])
-    # the Frobenius norm bounds the operator norm; `not <=` sends NaN to the SVD
-    if not np.linalg.norm(gap) <= _UNITARY_INPUT_TOL / 2:
-        residual = operator_norm(gap)
-        if residual > _UNITARY_INPUT_TOL:
+    gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
+    for k, residual in enumerate(_unsettled_norms(gap, _UNITARY_INPUT_TOL)):
+        if not residual <= _UNITARY_INPUT_TOL:
             raise ValueError(
-                f"{what} is not unitary: residual {residual:.3e}"
+                f"{what.format(k)} is not unitary: residual {residual:.3e}"
                 f" exceeds {_UNITARY_INPUT_TOL}"
             )
     return mat
@@ -301,26 +323,24 @@ def orthogonal_point_rep(o) -> MatrixRep:
 def free_product_rep(unitary, points, n: int) -> MatrixRep:
     """Model u_ij -> T . D_ij with D_ij diagonal over a family of point matrices.
 
-    points is a list of m unitaries of size n; T must have size d, a multiple
-    of m, and D_ij repeats each point's (i, j) entry along a contiguous run of
-    d/m diagonal slots.  With m = d every slot carries its own point matrix.
+    points is a list or stack of m unitaries of size n; T has size d, a
+    multiple of m; D_ij repeats each point's (i, j) entry on a contiguous run
+    of d/m diagonal slots.  With m = d every slot carries its own point matrix.
     """
     twist = _require_unitary(unitary, "twisting unitary")
     d = twist.shape[0]
-    points = [
-        _require_unitary(p, f"point matrix {k}") for k, p in enumerate(points)
-    ]
-    if not points:
+    if not len(points):
         raise ValueError("need at least one point matrix")
     for p in points:
-        if p.shape[0] != n:
-            raise ValueError(f"point matrices must have size {n}, got {p.shape[0]}")
+        if np.shape(p) != (n, n):
+            raise ValueError(f"point matrices must have size {n}, got {np.shape(p)}")
+    points = _require_unitary(points, "point matrix {}", ndim=3)
     m = len(points)
     if d % m:
         raise ValueError(f"dimension {d} is not a multiple of the {m} point matrices")
     slots = np.arange(d)
     diagonals = np.zeros((n, n, d, d), dtype=complex)
-    diagonals[:, :, slots, slots] = np.repeat(np.stack(points, axis=-1), d // m, axis=-1)
+    diagonals[:, :, slots, slots] = np.repeat(np.moveaxis(points, 0, -1), d // m, axis=-1)
     return MatrixRep("A", n, d, twist @ diagonals)
 
 
@@ -355,28 +375,16 @@ def lift_b_to_a(unitary, brep: MatrixRep, tol: float = 1e-10) -> MatrixRep:
     twist = _require_unitary(unitary, "twisting unitary")
     if brep.family != "B":
         raise ValueError("lift needs a family 'B' representation")
-    report = check_relations(brep, tol)
-    if not report.passed:
-        raise ValueError(
-            f"input fails family 'B' relations: worst residual {report.max_residual:.3e}"
-        )
+    _require_relations(brep, tol, "input")
     dt = twist.shape[0]
     if brep.d == dt:
         images = np.einsum("ab,ijbc->ijac", twist, brep.images)
-    elif brep.d == 1:
-        scalars = brep.images[:, :, 0, 0]
-        images = scalars[:, :, None, None] * twist[None, None, :, :]
-    elif dt == 1:
-        images = twist[0, 0] * brep.images
+    elif 1 in (brep.d, dt):
+        images = brep.images * twist
     else:
         raise ValueError(f"dimension mismatch: unitary is {dt}, representation is {brep.d}")
     lifted = MatrixRep("A", brep.n, max(dt, brep.d), images)
-    report = check_relations(lifted, tol)
-    if not report.passed:
-        raise ValueError(
-            f"lifted representation fails family 'A' relations:"
-            f" worst residual {report.max_residual:.3e}"
-        )
+    _require_relations(lifted, tol, "lifted representation")
     return lifted
 
 
@@ -401,15 +409,19 @@ def evaluate(poly: NCPoly, rep: MatrixRep) -> np.ndarray:
     return total
 
 
+def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar unitaries of size dim, bit for bit those of count successive
+    haar_unitary calls: each real Gaussian block precedes its imaginary one."""
+    gauss = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr((gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with phase fixing."""
-    z = (
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return _haar_unitaries(1, dim, rng)[0]
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -448,21 +460,18 @@ class SeparationStrategy:
         if self.kind == "point":
             return point_rep(haar_unitary(n, rng))
         if self.kind == "freeproduct":
-            twist = haar_unitary(self.d, rng)
-            points = [haar_unitary(n, rng) for _ in range(self.d)]
-            return free_product_rep(twist, points, n)
+            return self._free_product(n, rng)
         if self.kind == "lift":
             twist = haar_unitary(self.d, rng)
             return lift_b_to_a(twist, orthogonal_point_rep(haar_orthogonal(n, rng)))
         if n < 2:
             raise ValueError("block strategy needs n >= 2")
-        half = n // 2
-        parts = []
-        for size in (half, n - half):
-            twist = haar_unitary(self.d, rng)
-            points = [haar_unitary(size, rng) for _ in range(self.d)]
-            parts.append(free_product_rep(twist, points, size))
-        return block_rep(parts[0], parts[1])
+        first = self._free_product(n // 2, rng)
+        return block_rep(first, self._free_product(n - n // 2, rng))
+
+    def _free_product(self, n: int, rng: np.random.Generator) -> MatrixRep:
+        twist = haar_unitary(self.d, rng)
+        return free_product_rep(twist, _haar_unitaries(self.d, n, rng), n)
 
 
 @dataclass(frozen=True)
@@ -486,8 +495,9 @@ def separate(
     Trial t draws from its own generator seeded with seed + t, so any single
     trial replays in isolation.  The first trial whose evaluated polynomial
     has operator norm above tol wins; None means every trial stayed at or
-    below the tolerance.  A negative or non-finite tol, a negative trial
-    count or a negative seed raises ValueError.
+    below the tolerance; only a value with Frobenius norm above tol/2 takes
+    an SVD.  A negative or non-finite tol, a negative trial count or a
+    negative seed raises ValueError.
     """
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -498,7 +508,7 @@ def separate(
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         rep = strategy.draw(poly.n, poly.family, rng)
-        norm = operator_norm(evaluate(poly, rep))
+        norm = max(_unsettled_norms(evaluate(poly, rep), tol), default=0.0)
         if norm > tol:
             return SeparationWitness(trial, norm, rep)
     return None

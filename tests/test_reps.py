@@ -122,6 +122,151 @@ def test_unitary_input_check_falls_back_to_svd(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_svds(monkeypatch):
+    """Record the shape of every stack handed to the SVD helper."""
+    calls = []
+    largest = reps._largest_singular_values
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return largest(stack)
+
+    monkeypatch.setattr(reps, "_largest_singular_values", counting)
+    return calls
+
+
+def test_valid_inputs_and_settled_trials_run_no_svd(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    rng = np.random.default_rng(21)
+    brep = orthogonal_point_rep(haar_orthogonal(3, rng))
+    assert lift_b_to_a(haar_unitary(4, rng), brep).d == 4
+    free_product_rep(haar_unitary(4, rng), [haar_unitary(3, rng) for _ in range(4)], 3)
+    for kind in ("point", "freeproduct", "block", "lift"):
+        SeparationStrategy(kind, 4).draw(4, "A", rng)
+    # the commutator vanishes exactly on point models
+    poly = parse_poly("u11 u12 - u12 u11", 3, "A")
+    assert separate(poly, SeparationStrategy("point", 1), trials=10, seed=0) is None
+    assert calls == []
+    # a separating trial takes one SVD, for the witness norm
+    witness = separate(poly, SeparationStrategy("freeproduct", 2), trials=10, seed=42)
+    assert witness is not None and len(calls) == 1
+    assert witness.norm == np.linalg.norm(evaluate(poly, witness.rep), 2)
+
+
+def test_frobenius_above_half_tol_falls_back_to_svd(monkeypatch):
+    poly = parse_poly("u11 u12 - u12 u11", 2, "A")
+    strategy = SeparationStrategy("freeproduct", 2)
+    value = evaluate(poly, strategy.draw(2, "A", np.random.default_rng(42)))
+    norm = np.linalg.norm(value, 2)
+    # at tol = norm the Frobenius norm exceeds tol/2, yet the trial fails
+    assert np.linalg.norm(value) > norm / 2
+    calls = _count_svds(monkeypatch)
+    assert separate(poly, strategy, trials=1, seed=42, tol=norm) is None
+    assert len(calls) == 1
+    witness = separate(poly, strategy, trials=1, seed=42, tol=np.nextafter(norm, 0))
+    assert witness.norm == norm and len(calls) == 2
+    # four relation gaps of about 2e-11 * I: their joint Frobenius norm, about
+    # 9e-11, exceeds tol/2 = 5e-11, and each operator norm stays below 1e-10
+    o = haar_orthogonal(5, np.random.default_rng(8)) * np.sqrt(1 + 2e-11)
+    brep = MatrixRep("B", 5, 1, o.reshape(5, 5, 1, 1))
+    assert 0 < check_relations(brep).max_residual <= 1e-10
+    calls.clear()
+    assert lift_b_to_a(np.eye(2), brep).d == 2
+    assert calls
+    with pytest.raises(ValueError) as err:
+        lift_b_to_a(np.eye(2), brep, tol=1e-11)
+    worst = check_relations(brep).max_residual
+    assert str(err.value) == f"input fails family 'B' relations: worst residual {worst:.3e}"
+
+
+def test_tiny_tolerances_skip_the_frobenius_bound():
+    # the squares of entries near 1e-170 underflow to zero, so a Frobenius
+    # norm would call this value zero; the SVD sees it
+    poly = parse_poly("1e-170 u11", 2, "A")
+    for tol in (0.0, 1e-200):
+        witness = separate(poly, SeparationStrategy("point", 1), trials=1, tol=tol)
+        assert witness is not None
+        assert witness.norm == np.linalg.norm(evaluate(poly, witness.rep), 2) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_fail_with_documented_messages(bad):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match=r"^point matrix is not unitary: residual nan"):
+        point_rep(np.full((2, 2), bad))
+    points = [haar_unitary(2, rng), np.full((2, 2), bad)]
+    with pytest.raises(ValueError, match=r"^point matrix 1 is not unitary: residual nan"):
+        free_product_rep(np.eye(2), points, 2)
+    brep = orthogonal_point_rep(haar_orthogonal(2, rng))
+    twist = np.array([[bad, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^twisting unitary is not unitary: residual nan"):
+        lift_b_to_a(twist, brep)
+    broken = MatrixRep("B", 2, 1, np.full((2, 2, 1, 1), bad))
+    with pytest.raises(ValueError, match=r"^input fails family 'B' relations: worst residual nan"):
+        lift_b_to_a(np.eye(1), broken)
+
+
+def test_stacked_point_check_names_the_first_failing_point():
+    rng = np.random.default_rng(6)
+    points = [haar_unitary(3, rng) for _ in range(4)]
+    points[2] = points[2] * (1 + 1e-9)
+    points[3] = points[3] * 2
+    residual = operator_norm(points[2].conj().T @ points[2] - np.eye(3))
+    with pytest.raises(ValueError) as err:
+        free_product_rep(np.eye(4), points, 3)
+    assert str(err.value) == (
+        f"point matrix 2 is not unitary: residual {residual:.3e} exceeds 1e-12"
+    )
+
+
+def _haar_unitary_oracle(dim, rng):
+    """haar_unitary as it was written before draws were stacked."""
+    z = (
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_stacked_haar_draws_match_successive_draws(dim):
+    for seed in range(6):
+        for count in (1, 2, 3, 8):
+            stacked = reps._haar_unitaries(count, dim, np.random.default_rng(seed))
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert stacked.shape == (count, dim, dim)
+            for k in range(count):
+                single = haar_unitary(dim, rng)
+                assert np.array_equal(stacked[k], single)
+                assert np.array_equal(single, _haar_unitary_oracle(dim, oracle_rng))
+
+
+def _unbatched_draw(kind, d, n, rng):
+    """freeproduct and block draws assembled from one haar_unitary call per
+    matrix, in the order the draws consume the stream."""
+
+    def free_product(size):
+        twist = haar_unitary(d, rng)
+        return free_product_rep(twist, [haar_unitary(size, rng) for _ in range(d)], size)
+
+    if kind == "freeproduct":
+        return free_product(n)
+    first = free_product(n // 2)
+    return block_rep(first, free_product(n - n // 2))
+
+
+@pytest.mark.parametrize("kind", ["freeproduct", "block"])
+def test_draws_match_unbatched_oracle(kind):
+    for n in range(2 if kind == "block" else 1, 5):
+        for d in (1, 2, 4, 8):
+            for seed in (0, 1, 17):
+                rep = SeparationStrategy(kind, d).draw(n, "A", np.random.default_rng(seed))
+                oracle = _unbatched_draw(kind, d, n, np.random.default_rng(seed))
+                assert np.array_equal(rep.images, oracle.images)
+
+
 def _oracle_residuals(rep):
     """Per-matrix numpy 2-norms of the relations check_relations reports."""
     eye = np.eye(rep.n * rep.d)
