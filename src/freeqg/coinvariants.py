@@ -5,12 +5,13 @@ A pairing p of a word defines a functional T_p on the word's tensor space by
 a product of Kronecker deltas along the arcs.  Inner products of these
 functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
-size of the block it stays in.  One routine builds every Gram matrix,
-composing each pair's slot permutation by bytes.translate and walking each
-distinct one once; ambient and colored matrices differ only in how they weigh
-its loops, so fullness_system weighs one walk of all pairs for the ambient
-matrix and every coloring.  Every Gram entry is a product of powers of n, d_w
-and d_u, so all span and rank questions are settled by integer elimination.
+size of the block it stays in.  One routine builds every Gram matrix: it
+codes the slot permutation of every pair as an integer, by one numpy matmul
+unless the list is short, and walks each distinct code once for its loops;
+ambient and colored matrices differ only in how they weigh those loops, so
+fullness_system weighs one walk of all pairs for the ambient matrix and
+every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
+so all span and rank questions are settled by integer elimination.
 
 Span membership has one routine, _cokernel: a vector lies in the span of
 some Gram columns iff their cokernel annihilates it, and as every Gram matrix
@@ -112,49 +113,84 @@ class FullnessVerdict:
     witness: tuple[int, ...] | None = None
 
 
-class _LoopWeights(dict):
-    """sigma -> weight(mask) of its cycles, as in _loop_gram; walks each new sigma once."""
-
-    def __init__(self, weight, plain):
-        self.weight, self.plain = weight, plain
-
-    def __missing__(self, sigma: bytes):
-        mask, seen = 0, 0
-        for start in range(len(sigma)):
-            if not seen >> start & 1:
-                mask |= 1 << self.plain[start] - 1
-                s = start
-                while not seen >> s & 1:
-                    seen |= 1 << s
-                    s = sigma[s]
-        return self.setdefault(sigma, self.weight(mask))
+_BLOCK_ENTRIES = 1 << 15  # Gram entries per matmul in _loop_gram
+# shorter lists are coded in Python, where numpy's fixed cost per call
+# outweighs its speed per entry (measured crossover near 200 entries)
+_NUMPY_MIN_ENTRIES = 256
 
 
-def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> list[list]:
-    """Rows of the symmetric matrix of weight(mask) over all pairs of pairings
-    (which must respect the coloring, if given); mask has one bit per loop of
-    the overlay of p_i and p_j, at the 0-based position of the loop's least V
-    slot.  With V slot s joined to V* slot fwd[s] and V* slot t to V slot
-    back[t], the loops follow the cycles of sigma = back_q o fwd_p, composed in
-    C as fwd_p.translate(back_q) from bytes fwd_p and a 256-byte table back_q
-    (hence at most 256 V slots); each distinct sigma is walked once."""
+def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> list[tuple]:
+    """Rows, as tuples, of the symmetric matrix of weight(mask) over all
+    pairs of pairings (which must respect the coloring, if given); mask has
+    one bit per loop of the overlay of p_i and p_j, at the 0-based position
+    of the loop's least V slot.  With V* slot t joined to V slot back[t],
+    the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
+    slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
+    matmul (k ** B) @ B.T codes every pair (in int64 below k^k = 2^63), or
+    Python does for short lists.  Each distinct code is walked and weighed
+    once, then looked up through a table of all k^k codes, or np.unique when
+    there are more codes than entries."""
     if coloring is not None and len(coloring) != len(word):
         raise ValueError("coloring length does not match word length")
     plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
-    if len(plain) > 256:
-        raise ValueError(f"{len(plain)} u letters exceed the 256-slot limit of the Gram routine")
-    slot = {pos: s for side in (plain, star) for s, pos in enumerate(side)}
-    fwd, back = [], []
+    slot = {pos: s for s, pos in enumerate(plain)}
+    back = []
     for p in pairings:
         if not p.is_pairing_of(word):
             raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
         if coloring is not None and not is_block_respecting(p, coloring):
             raise ValueError(f"{p} does not respect the coloring {coloring!s}")
         partner = p.partner()
-        fwd.append(bytes([slot[partner[x]] for x in plain]))
-        back.append(bytes([slot[partner[y]] for y in star]).ljust(256, b"\0"))
-    weights = _LoopWeights(weight, plain)
-    return [list(map(weights.__getitem__, map(f.translate, back))) for f in fwd]
+        back.append([slot[partner[y]] for y in star])
+    m, k = len(back), len(plain)
+    bits = [1 << pos - 1 for pos in plain]
+    weights = {}
+
+    def weigh(code: int):
+        if code in weights:
+            return weights[code]
+        sigma, rest = [], code
+        for _ in bits:
+            rest, s = divmod(rest, k)
+            sigma.append(s)
+        mask = 0
+        for start, bit in enumerate(bits):
+            if sigma[start] >= 0:  # a new loop; -1 marks walked slots
+                mask |= bit
+                s = start
+                while sigma[s] >= 0:
+                    sigma[s], s = -1, sigma[s]
+        weights[code] = weight(mask)
+        return weights[code]
+
+    if m * m < _NUMPY_MIN_ENTRIES:
+        powers = [[k**x for x in row] for row in back]
+        return [tuple([weigh(sum(map(mul, r, q))) for q in back]) for r in powers]
+    size = k**k
+    # every partial sum of a code is below size
+    b = np.array(back, dtype=np.int64 if size < 1 << 63 else object)
+    powers, bt = k**b, b.T
+    step = max(1, _BLOCK_ENTRIES // m)
+    dense = size <= m * m
+    if dense:
+        table = np.empty(size, dtype=object)  # None until weighed
+    rows = []
+    for lo in range(0, m, step):
+        codes = powers[lo:lo + step] @ bt
+        if dense:
+            hit = np.zeros(size, dtype=bool)
+            hit[codes] = True
+            new = hit.nonzero()[0]
+            if lo:  # drop the codes that earlier blocks weighed
+                new = new[np.equal(table[new], None)]
+            table[new] = list(map(weigh, new.tolist()))
+            ids = codes
+        else:
+            distinct, ids = np.unique(codes, return_inverse=True)
+            ids = ids.reshape(codes.shape)  # numpy 1.x returns it flat
+            table = np.array(list(map(weigh, distinct.tolist())), dtype=object)
+        rows += map(tuple, table[ids].tolist())
+    return rows
 
 
 def _colored_weight(wmask: int, quotient: QuotientSpec):

@@ -71,9 +71,13 @@ def _pivots_mod_p(rows, n_cols: int) -> list[tuple[int, int]]:
     A row changes only by a unit multiple of itself plus earlier rows, so
     the pivot rows are the rows independent of the rows before them.
     Entries lie in [0, p) with p < 2^31, so both products are below 2^62
-    and their difference stays in int64.
+    and their difference stays in int64.  Entries are reduced in numpy,
+    unless one does not fit in int64.
     """
-    a = np.array([x % _P for row in rows for x in row], dtype=np.int64)
+    try:
+        a = np.array(rows, dtype=np.int64) % _P
+    except OverflowError:
+        a = np.array([[x % _P for x in row] for row in rows], dtype=np.int64)
     a = a.reshape(len(rows), n_cols)
     pivots = []
     for c in range(n_cols):

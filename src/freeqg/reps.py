@@ -212,12 +212,19 @@ class MatrixRep:
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack, from one SVD call."""
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    """Largest singular value of each matrix in a stack, from one SVD call;
+    NaN for a matrix with an inf or NaN entry, which the SVD cannot take."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    norms = np.full(finite.shape, np.nan)
+    if finite.any():
+        norms[finite] = np.linalg.svd(stack[finite], compute_uv=False).max(axis=-1)
+    return norms
 
 
 def operator_norm(mat) -> float:
-    """Largest singular value."""
+    """Largest singular value; NaN for a matrix with an inf or NaN entry."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return 0.0
@@ -230,6 +237,8 @@ class RelationReport:
 
     residuals holds, in order, |u*u - 1|, |uu* - 1|, |ubar*ubar - 1|,
     |ubar ubar* - 1| for the big matrix u and its entrywise adjoint ubar.
+    A residual of a matrix with an inf or NaN entry is NaN, and then so is
+    max_residual, and the check fails.
     """
 
     residuals: tuple[float, float, float, float]
@@ -239,7 +248,7 @@ class RelationReport:
     @property
     def max_residual(self) -> float:
         extra = () if self.selfadjoint_residual is None else (self.selfadjoint_residual,)
-        return max(self.residuals + extra)
+        return float(np.max(self.residuals + extra))
 
     @property
     def passed(self) -> bool:
@@ -273,7 +282,7 @@ def _unsettled_norms(stack: np.ndarray, tol: float) -> list[float]:
     if tol >= 1e-150 and np.vdot(stack, stack).real <= tol * tol / 4:
         return []
     mats = (stack[i] for i in np.ndindex(stack.shape[:-2]))
-    return [operator_norm(x) if np.isfinite(x).all() else math.nan for x in mats]
+    return [operator_norm(x) for x in mats]
 
 
 def _require_relations(rep: MatrixRep, tol: float, what: str) -> None:
@@ -497,7 +506,8 @@ def separate(
     has operator norm above tol wins; None means every trial stayed at or
     below the tolerance; only a value with Frobenius norm above tol/2 takes
     an SVD.  A negative or non-finite tol, a negative trial count or a
-    negative seed raises ValueError.
+    negative seed raises ValueError, and so does a trial whose value
+    overflows to a norm that is not finite.
     """
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -509,6 +519,8 @@ def separate(
         rng = np.random.default_rng(seed + trial)
         rep = strategy.draw(poly.n, poly.family, rng)
         norm = max(_unsettled_norms(evaluate(poly, rep), tol), default=0.0)
+        if not math.isfinite(norm):
+            raise ValueError(f"the polynomial's value at trial {trial} overflows: norm {norm}")
         if norm > tol:
             return SeparationWitness(trial, norm, rep)
     return None

@@ -319,6 +319,17 @@ def test_separate_rejects_non_finite_coefficient(capsys, poly, position):
     assert f"(position {position})" in captured.err
 
 
+def test_separate_rejects_an_overflowing_witness_norm(capsys):
+    """A witness norm of inf used to print as the non-JSON token Infinity."""
+    argv = ["separate", "--poly", "1.7e308 u11 + 1.7e308 u11", "--n", "2", "--trials", "6",
+            "--strategy", "freeproduct", "--d", "2", "--seed", "3"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the polynomial's value at trial 0 overflows: norm inf"]
+
+
 def test_separate_rejects_n_above_nine(capsys):
     code = main(["separate", "--poly", "u11 u12 - u12 u11", "--n", "10", "--trials", "1"])
     captured = capsys.readouterr()

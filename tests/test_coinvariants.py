@@ -156,6 +156,14 @@ def test_colored_gram_matches_dense_realization(text, quotient):
                 assert int(np.dot(vi, vj)) == gram.entry(i, j), (str(coloring), i, j)
 
 
+def each_route(monkeypatch):
+    """Yield twice: with every nonempty pairing list coded by the numpy route
+    of the Gram routine, then with every list coded by its Python route."""
+    for least in (1, math.inf):
+        monkeypatch.setattr(coinvariants, "_NUMPY_MIN_ENTRIES", least)
+        yield
+
+
 def check_grams_by_loop_decomposition(word, pairings, colorings):
     """Ambient and colored Gram matrices of this pairing list, in its order,
     entry by entry against the loop-count formula; each coloring weighs the
@@ -190,45 +198,103 @@ def test_gram_matrices_match_loop_decomposition(text):
 
 
 @pytest.mark.parametrize(
-    "arrange",
+    "arrange, dense",
     [
-        lambda ps: ps[::-1],
-        lambda ps: [ps[2], ps[0], ps[2], ps[1], ps[0]],
-        lambda ps: ps[3:4],
-        lambda ps: [],
+        pytest.param(lambda ps: ps[::-1], True, id="reversed"),
+        pytest.param(lambda ps: ps[4::-1], False, id="reversed-prefix"),
+        pytest.param(lambda ps: [ps[2], ps[0], ps[2], ps[1], ps[0]], False, id="duplicated"),
+        pytest.param(lambda ps: ps + ps[::-1], True, id="duplicated-all"),
+        pytest.param(lambda ps: ps[3:4], False, id="single"),
+        pytest.param(lambda ps: [], None, id="empty"),
     ],
-    ids=["reversed", "duplicated", "single", "empty"],
 )
 @pytest.mark.parametrize("text", ["uuuUUU", "uUuUuU", "uuUuUUuU"])
-def test_gram_matrices_of_rearranged_pairing_lists(text, arrange):
-    """Gram matrices follow the given list, whatever its order or repeats."""
+def test_gram_matrices_of_rearranged_pairing_lists(text, arrange, dense, monkeypatch):
+    """Gram matrices follow the given list, whatever its order or repeats,
+    in Python and in numpy, both where numpy looks codes up in the table of
+    all k^k codes (k^k <= m^2 for m pairings) and where in np.unique."""
     word = parse_word(text)
     pairings = arrange(enumerate_pairings(word))
-    check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
+    k = len(text) // 2
+    assert dense is (k**k <= len(pairings) ** 2 if pairings else None)
+    for _ in each_route(monkeypatch):
+        check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
 
 
-def test_gram_matrices_of_a_long_alternating_word():
+def test_gram_matrices_of_a_long_alternating_word(monkeypatch):
     """The first 14 non-crossing pairings of (uU)^20 in enumeration order are
     the adjacent arcs up to slot 32 followed by a non-crossing pairing of the
-    last eight slots, (uU)^4 shifted by 32."""
+    last eight slots, (uU)^4 shifted by 32.  Their codes pass 2^63."""
     word = parse_word("uU" * 20)
     prefix = tuple((2 * i + 1, 2 * i + 2) for i in range(16))
     tail = enumerate_noncrossing(parse_word("uU" * 4))
     pairings = [Pairing(prefix + tuple((a + 32, b + 32) for a, b in p.arcs)) for p in tail]
     assert all(p.is_pairing_of(word) and is_noncrossing(p) for p in pairings)
     colorings = [parse_coloring(c) for c in ("W" * 40, "W" * 32 + "U" * 8, "WWUU" * 10)]
+    for _ in each_route(monkeypatch):
+        check_grams_by_loop_decomposition(word, pairings, colorings)
+
+
+def test_gram_routine_takes_words_past_256_u_letters(monkeypatch):
+    """Codes past 2^63 are Python ints, so no count of u letters is too large."""
+    for k in (256, 257):
+        word = parse_word("uU" * k)
+        pairing = Pairing(tuple((2 * i + 1, 2 * i + 2) for i in range(k)))
+        for _ in each_route(monkeypatch):
+            assert gram_matrix([pairing], word, AmbientSpec(2)).row_list() == [[2**k]]
+
+
+def check_sampled_gram_entries(word, pairings, n, samples, seed):
+    """A seeded sample of the ambient Gram entries against the loop-count
+    formula, for lists too long to check entry by entry."""
+    gram = gram_matrix(pairings, word, AmbientSpec(n))
+    assert (gram.rows, gram.cols) == (len(pairings), len(pairings))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        i, j = rng.randrange(len(pairings)), rng.randrange(len(pairings))
+        loops = loop_decomposition(pairings[i], pairings[j]).count
+        assert gram.entry(i, j) == n**loops, (i, j)
+    return gram
+
+
+def test_gram_of_all_length_12_pairings():
+    """720 pairings: 518,400 entries coded in several row blocks through the
+    table of all 6^6 codes.  Every row sums the rising factorial."""
+    word = parse_word("uuUuUUuUuUuU")
+    pairings = enumerate_pairings(word)
+    assert 6**6 <= len(pairings) ** 2 and len(pairings) ** 2 > 8 * coinvariants._BLOCK_ENTRIES
+    gram = check_sampled_gram_entries(word, pairings, 3, 4000, seed=12)
+    assert {sum(row) for row in gram.row_list()} == {math.prod(range(3, 9))}
+
+
+def test_gram_of_noncrossing_pairings_across_row_blocks():
+    """The 429 non-crossing pairings of (uU)^7 have fewer entries than 7^7
+    codes, so their ids come from np.unique, block by block."""
+    word = parse_word("uU" * 7)
+    pairings = enumerate_noncrossing(word)
+    assert 7**7 > len(pairings) ** 2 > 4 * coinvariants._BLOCK_ENTRIES
+    check_sampled_gram_entries(word, pairings, 2, 4000, seed=7)
+
+
+def test_gram_of_noncrossing_pairings_takes_the_unique_branch():
+    """The first 40 non-crossing pairings of (uU)^8: int64 codes below 8^8,
+    more of them than entries, so their ids come from np.unique."""
+    word = parse_word("uU" * 8)
+    pairings = enumerate_noncrossing(word)[:40]
+    assert len(pairings) ** 2 < 8**8 < 2**63
+    colorings = [parse_coloring(c) for c in ("W" * 16, "WWUU" * 4, "WW" + "U" * 14)]
     check_grams_by_loop_decomposition(word, pairings, colorings)
 
 
-def test_gram_routine_names_its_256_slot_limit():
-    """Slots are composed as bytes, so a word has at most 256 u letters."""
-    at_limit = parse_word("uU" * 256)
-    pairing = Pairing(tuple((2 * i + 1, 2 * i + 2) for i in range(256)))
-    assert gram_matrix([pairing], at_limit, AmbientSpec(2)).row_list() == [[2**256]]
-    over = parse_word("uU" * 257)
-    pairing = Pairing(tuple((2 * i + 1, 2 * i + 2) for i in range(257)))
-    with pytest.raises(ValueError, match="256-slot limit"):
-        gram_matrix([pairing], over, AmbientSpec(2))
+@pytest.mark.parametrize("text", ["", "uU"])
+def test_gram_of_one_pairing_on_the_dense_table(text, monkeypatch):
+    """With at most one V slot there is one code, so a single pairing, alone
+    or repeated, is weighed through the table of all codes in numpy."""
+    word = parse_word(text)
+    (pairing,) = enumerate_pairings(word)
+    for pairings in ([pairing], [pairing] * 3):
+        for _ in each_route(monkeypatch):
+            check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

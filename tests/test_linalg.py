@@ -270,6 +270,17 @@ def test_pivot_search_edge_cases():
     assert check_pivots_mod_p([[0, P - 1], [P - 1, 0], [1, 1]], 2) == [(0, 1), (1, 0)]
 
 
+def test_pivot_search_reduces_entries_past_int64():
+    """Entries at the int64 bounds are reduced in numpy; one past them sends
+    the matrix through the Python-int reduction.  Both give the pivots of
+    the same entries reduced mod P beforehand."""
+    for big in (2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64 + 5):
+        entries = [[big, 1, 0], [1, big, 2], [big - 1, big + 1, 2], [3, 0, big]]
+        reduced = [[x % P for x in row] for row in entries]
+        assert check_pivots_mod_p(entries, 3) == linalg._pivots_mod_p(reduced, 3)
+        assert ExactMatrix(entries).rank() == sympy.Matrix(entries).rank()
+
+
 def test_left_nullspace():
     m = ExactMatrix([[1, 2], [2, 4], [0, 1]])
     left = m.left_nullspace_basis()

@@ -206,6 +206,29 @@ def test_non_finite_inputs_fail_with_documented_messages(bad):
         lift_b_to_a(np.eye(1), broken)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_check_relations_fails_a_non_finite_rep(family, bad):
+    """A non-finite entry makes its residuals NaN and fails the check,
+    where the SVD used to raise LinAlgError."""
+    images = np.stack([np.eye(2, dtype=complex)] * 4).reshape(2, 2, 2, 2) / np.sqrt(2)
+    images[1, 0, 0, 1] = bad
+    report = check_relations(MatrixRep(family, 2, 2, images))
+    assert np.isnan(report.max_residual)
+    assert any(np.isnan(report.residuals))
+    assert not report.passed
+    assert np.isnan(operator_norm(images[1, 0]))
+    finite = check_relations(MatrixRep(family, 2, 2, np.where(np.isfinite(images), images, 0)))
+    assert not np.isnan(finite.max_residual)
+
+
+def test_separate_refuses_an_overflowing_norm():
+    # every entry is finite, but the norm of the value overflows to inf
+    poly = parse_poly("1.7e308 u11 + 1.7e308 u11", 2, "A")
+    with pytest.raises(ValueError, match="value at trial 0 overflows: norm inf"):
+        separate(poly, SeparationStrategy("freeproduct", 2), trials=6, seed=3)
+
+
 def test_stacked_point_check_names_the_first_failing_point():
     rng = np.random.default_rng(6)
     points = [haar_unitary(3, rng) for _ in range(4)]
