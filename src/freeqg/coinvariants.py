@@ -11,7 +11,9 @@ unless the list is short, and walks each distinct code once for its loops;
 ambient and colored matrices differ only in how they weigh those loops, so
 fullness_system weighs one walk of all pairs for the ambient matrix and
 every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
-so all span and rank questions are settled by integer elimination.
+so all span and rank questions are settled by integer elimination.  The
+specs take only int sizes, so the entries are ints by construction and the
+matrices enter linalg through ExactMatrix._of_int_rows, without its scan.
 
 Span membership has one routine, _cokernel: a vector lies in the span of
 some Gram columns iff their cokernel annihilates it, and as every Gram matrix
@@ -72,23 +74,29 @@ class RealizationTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class AmbientSpec:
-    """Ambient size n of the fundamental comodule V."""
+    """Ambient size n of the fundamental comodule V, a plain int, so that
+    every Gram entry n^loops is an int."""
 
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"ambient size must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("ambient size must be >= 1")
 
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Block sizes of a splitting V = W + U; both blocks must be nonempty."""
+    """Block sizes of a splitting V = W + U: plain ints, so that every
+    colored Gram entry d_w^a * d_u^b is an int; both blocks must be nonempty."""
 
     d_w: int
     d_u: int
 
     def __post_init__(self):
+        if type(self.d_w) is not int or type(self.d_u) is not int:
+            raise TypeError(f"block sizes must be ints, got {self.d_w!r} and {self.d_u!r}")
         if self.d_w < 1 or self.d_u < 1:
             raise ValueError("both block sizes must be >= 1")
 
@@ -133,15 +141,25 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
     if coloring is not None and len(coloring) != len(word):
         raise ValueError("coloring length does not match word length")
     plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
+    # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
     slot = {pos: s for s, pos in enumerate(plain)}
+    slot.update((pos, ~t) for t, pos in enumerate(star))
     back = []
     for p in pairings:
-        if not p.is_pairing_of(word):
+        row = [0] * len(star)
+        if 2 * len(p.arcs) != len(word):
             raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
+        for a, b in p.arcs:
+            s, t = slot[a], slot[b]
+            if s < 0 <= t:
+                row[~s] = t
+            elif t < 0 <= s:
+                row[~t] = s
+            else:
+                raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
         if coloring is not None and not is_block_respecting(p, coloring):
             raise ValueError(f"{p} does not respect the coloring {coloring!s}")
-        partner = p.partner()
-        back.append([slot[partner[y]] for y in star])
+        back.append(row)
     m, k = len(back), len(plain)
     bits = [1 << pos - 1 for pos in plain]
     weights = {}
@@ -205,7 +223,7 @@ def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
     """Gram matrix of pairing functionals: entry (i, j) is n^loops(p_i, p_j)."""
     n = ambient.n
     rows = _loop_gram(pairings, word, lambda mask: n ** mask.bit_count())
-    return ExactMatrix(rows, cols=len(rows))
+    return ExactMatrix._of_int_rows(rows, len(rows))
 
 
 def gram_matrix_colored(
@@ -218,7 +236,7 @@ def gram_matrix_colored(
     """
     wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
     rows = _loop_gram(pairings, word, _colored_weight(wmask, quotient), coloring)
-    return ExactMatrix(rows, cols=len(rows))
+    return ExactMatrix._of_int_rows(rows, len(rows))
 
 
 def realize_functional(
@@ -321,7 +339,8 @@ def _cokernel(gram_rows, inside) -> list[list[int]]:
     """Basis of the y with y @ G[:, inside] == 0, which annihilate exactly the
     span of those columns of the symmetric matrix G with these rows.  As
     y @ G == G @ y, it is the kernel of the rows `inside`."""
-    return ExactMatrix([gram_rows[k] for k in inside], cols=len(gram_rows)).nullspace_basis()
+    rows = [gram_rows[k] for k in inside]
+    return ExactMatrix._of_int_rows(rows, len(gram_rows)).nullspace_basis()
 
 
 def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
@@ -358,7 +377,9 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     # the loops of every pair, walked once and reused by every coloring
     masks = _loop_gram(pairings, word, lambda mask: mask)
     n = ambient.n
-    gram = ExactMatrix([[n ** m.bit_count() for m in row] for row in masks], cols=len(pairings))
+    gram = ExactMatrix._of_int_rows(
+        [[n ** m.bit_count() for m in row] for row in masks], len(pairings)
+    )
     # a pairing respects exactly the colorings whose W slots (bit pos - 1) are
     # a union of its arcs; the sort below is enumerate_colorings order
     selections: dict[int, list[int]] = {}
@@ -384,7 +405,7 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
                 full_row[i] = value
             if any(full_row):
                 constraint_rows.setdefault(tuple(full_row))
-    constraints = ExactMatrix(constraint_rows, cols=len(pairings))
+    constraints = ExactMatrix._of_int_rows(constraint_rows, len(pairings))
     return pairings, nc_indices, gram, constraints
 
 

@@ -15,6 +15,10 @@ and otherwise all rows are eliminated.  The elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968) with first-nonzero pivoting, so each `//`
 is exact.  Fractions appear only where a rational is the answer; floats
 are rejected outright.
+
+Entry types are checked where data enters: the public constructor scans
+every entry, and ExactMatrix._of_int_rows takes rows of ints by construction
+(Gram matrices, submatrices, augmented matrices) without that scan.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def _pivots_mod_p(rows, n_cols: int) -> list[tuple[int, int]]:
 
 
 class ExactMatrix:
-    """Immutable dense matrix of ints."""
+    """Immutable dense matrix of ints.  The constructor checks every entry:
+    it rejects all but ints and integral Fractions, stored as ints."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -115,6 +120,16 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = cols
         self._data = data
+
+    @classmethod
+    def _of_int_rows(cls, rows, cols: int) -> "ExactMatrix":
+        """Matrix of rows of cols plain ints each, unchecked: only for rows
+        that are ints by construction.  Tuple rows are kept, not copied."""
+        self = object.__new__(cls)
+        self._data = tuple(map(tuple, rows))
+        self.rows = len(self._data)
+        self.cols = cols
+        return self
 
     def entry(self, i: int, j: int) -> int:
         return self._data[i][j]
@@ -153,8 +168,8 @@ class ExactMatrix:
 
     def column_submatrix(self, indices) -> "ExactMatrix":
         indices = list(indices)
-        return ExactMatrix(
-            [[row[j] for j in indices] for row in self._data], cols=len(indices)
+        return ExactMatrix._of_int_rows(
+            [[row[j] for j in indices] for row in self._data], len(indices)
         )
 
     def _echelon(self):
@@ -208,7 +223,7 @@ class ExactMatrix:
         candidates = [self]
         if self.rows > self.cols:
             keep = [self._data[r] for r, _ in _pivots_mod_p(self._data, self.cols)]
-            candidates.insert(0, ExactMatrix(keep, cols=self.cols))
+            candidates.insert(0, ExactMatrix._of_int_rows(keep, self.cols))
         for m in candidates:
             data, pivots = m._echelon()
             basis = []
@@ -250,8 +265,8 @@ class ExactMatrix:
             raise ValueError(f"vector length {len(vec)} does not match {self.rows} rows")
         scale = lcm(*(v.denominator for v in vec))
         column = [v.numerator * (scale // v.denominator) for v in vec]
-        aug = ExactMatrix(
-            [row + (c,) for row, c in zip(self._data, column)], cols=self.cols + 1
+        aug = ExactMatrix._of_int_rows(
+            [row + (c,) for row, c in zip(self._data, column)], self.cols + 1
         )
         basis = aug.nullspace_basis()
         if not basis or not basis[-1][-1]:

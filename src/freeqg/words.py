@@ -112,10 +112,9 @@ class Pairing:
     arcs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        arcs = tuple(sorted(tuple(sorted(arc)) for arc in self.arcs))
+        arcs = tuple(sorted([(a, b) if a < b else (b, a) for a, b in self.arcs]))
         object.__setattr__(self, "arcs", arcs)
-        covered = sorted(pos for arc in arcs for pos in arc)
-        if covered != list(range(1, 2 * len(arcs) + 1)):
+        if sorted(itertools.chain.from_iterable(arcs)) != list(range(1, 2 * len(arcs) + 1)):
             raise ValueError(f"arcs {arcs} do not partition 1..{2 * len(arcs)}")
 
     def __len__(self) -> int:

@@ -73,6 +73,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuotientSpec(0, 2)
     assert QuotientSpec(2, 3).n == 5
+    # sizes are plain ints, so every Gram weight built from them is one
+    for size in (2.0, Fraction(2), np.int64(2), True):
+        with pytest.raises(TypeError):
+            AmbientSpec(size)
+        with pytest.raises(TypeError):
+            QuotientSpec(size, 2)
+        with pytest.raises(TypeError):
+            QuotientSpec(2, size)
 
 
 def test_gram_matrix_frozen_examples():
@@ -86,9 +94,16 @@ def test_gram_matrix_frozen_examples():
 
 
 def test_gram_matrix_rejects_foreign_pairing():
-    word = parse_word("uuUU")
-    with pytest.raises(ValueError):
-        gram_matrix([Pairing(((1, 2), (3, 4)))], word, AmbientSpec(2))
+    for text, arcs in [
+        ("uuUU", ((1, 2), (3, 4))),  # u-u and U-U arcs
+        ("uUuU", ((1, 3), (2, 4))),
+        ("uUuU", ((1, 2),)),  # too short
+        ("uuUU", ((1, 3), (2, 4), (5, 6))),  # too long
+    ]:
+        word = parse_word(text)
+        pairings = [*enumerate_pairings(word), Pairing(arcs)]
+        with pytest.raises(ValueError, match="is not a color-respecting pairing of " + text):
+            gram_matrix(pairings, word, AmbientSpec(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -171,6 +186,7 @@ def check_grams_by_loop_decomposition(word, pairings, colorings):
     grams = {n: gram_matrix(pairings, word, AmbientSpec(n)) for n in (2, 3, 5)}
     for gram in grams.values():
         assert (gram.rows, gram.cols) == (len(pairings), len(pairings))
+        assert all(type(x) is int for row in gram.row_list() for x in row)
     for i, p in enumerate(pairings):
         for j, q in enumerate(pairings):
             loops = loop_decomposition(p, q).count
@@ -182,6 +198,7 @@ def check_grams_by_loop_decomposition(word, pairings, colorings):
         colored = [gram_matrix_colored(selected, word, coloring, qt) for qt in quotients]
         for gram in colored:
             assert (gram.rows, gram.cols) == (len(selected), len(selected))
+            assert all(type(x) is int for row in gram.row_list() for x in row)
         for i, p in enumerate(selected):
             for j, q in enumerate(selected):
                 dec = loop_decomposition(p, q, coloring)
@@ -463,6 +480,14 @@ def test_fullness_system_shapes():
     assert constraints.cols == 2
     with pytest.raises(ValueError):
         fullness_system(word, AmbientSpec(3), QuotientSpec(1, 1))
+    # both matrices skip the entry scan of the public constructor
+    for text in ("uuUU", "uuUUuU", "uuUuUU"):
+        _, _, gram, constraints = fullness_system(
+            parse_word(text), AmbientSpec(3), QuotientSpec(2, 1)
+        )
+        assert constraints.rows
+        for matrix in (gram, constraints):
+            assert all(type(x) is int for row in matrix.row_list() for x in row)
 
 
 def test_in_noncrossing_span_both_legs():
