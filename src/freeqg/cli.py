@@ -51,12 +51,11 @@ def _worker_count() -> int:
     return value or os.cpu_count() or 1
 
 
-def _fullness_task(task: tuple[str, int, int, int]) -> dict:
-    word_str, n, d_w, d_u = task
+def _fullness_task(task: tuple[str, int, int]) -> dict:
+    word_str, d_w, d_u = task
     word = parse_word(word_str)
-    ambient = AmbientSpec(n)
     quotient = QuotientSpec(d_w, d_u)
-    return verdict_json(word, ambient, quotient, joint_fullness(word, ambient, quotient))
+    return verdict_json(word, quotient, joint_fullness(word, quotient))
 
 
 def cmd_pairings(args) -> tuple[dict, dict, bool, list | None]:
@@ -85,7 +84,9 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
         raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
     else:
         words = balanced_words(args.max_len)
-    tasks = [(str(w), ambient.n, quotient.d_w, quotient.d_u) for w in words]
+    if quotient.n != ambient.n:
+        raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
+    tasks = [(str(w), quotient.d_w, quotient.d_u) for w in words]
     # one verdict per symmetry orbit, decided on its first word
     orbits: dict[str, list[int]] = {}
     for i, word in enumerate(words):

@@ -239,9 +239,7 @@ def gram_matrix_colored(
     return ExactMatrix._of_int_rows(rows, len(rows))
 
 
-def realize_functional(
-    p: Pairing, word: Word, ambient: AmbientSpec, cap: int = DEFAULT_REALIZATION_CAP
-) -> np.ndarray:
+def realize_functional(p: Pairing, word: Word, ambient: AmbientSpec) -> np.ndarray:
     """Dense 0/1 vector of the functional T_p in the n^len(word) coordinate space.
 
     Coordinates are multi-indices in row-major order (first slot varies
@@ -252,9 +250,9 @@ def realize_functional(
     n = ambient.n
     length = len(word)
     size = n**length
-    if size > cap:
+    if size > DEFAULT_REALIZATION_CAP:
         raise RealizationTooLarge(
-            f"dense realization needs {size} entries (cap {cap}); "
+            f"dense realization needs {size} entries (cap {DEFAULT_REALIZATION_CAP}); "
             "use the loop-count Gram route instead"
         )
     if not p.is_pairing_of(word):
@@ -269,9 +267,7 @@ def realize_functional(
     return vec
 
 
-def invariant_dimension_oracle(
-    word: Word, ambient: AmbientSpec, cap: int = DEFAULT_REALIZATION_CAP
-) -> int:
+def invariant_dimension_oracle(word: Word, ambient: AmbientSpec) -> int:
     """Dimension of the unitary-group invariants in the word's tensor space.
 
     Computed straight from the Lie algebra action, independently of any
@@ -285,9 +281,10 @@ def invariant_dimension_oracle(
     """
     n = ambient.n
     length = len(word)
-    if n**length > cap:
+    if n**length > DEFAULT_REALIZATION_CAP:
         raise RealizationTooLarge(
-            f"the invariant computation scans {n**length} multi-indices (cap {cap})"
+            f"the invariant computation scans {n**length} multi-indices "
+            f"(cap {DEFAULT_REALIZATION_CAP})"
         )
     letters = word.letters
     balanced_idx = []
@@ -343,7 +340,7 @@ def _cokernel(gram_rows, inside) -> list[list[int]]:
     return ExactMatrix._of_int_rows(rows, len(gram_rows)).nullspace_basis()
 
 
-def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
+def fullness_system(word: Word, quotient: QuotientSpec):
     """Constraint system for joint coinvariance of a balanced word.
 
     Returns (pairings, nc_indices, gram, constraints):
@@ -368,15 +365,13 @@ def fullness_system(word: Word, ambient: AmbientSpec, quotient: QuotientSpec):
     enumerate_colorings order, and each distinct colored subproblem (G_c and
     its non-crossing positions) is solved once per call.
     """
-    if ambient.n != quotient.n:
-        raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
     pairings = enumerate_pairings(word)
     nc_set = set(enumerate_noncrossing(word))
     nc_indices = [i for i, p in enumerate(pairings) if p in nc_set]
     nc_index_set = set(nc_indices)
     # the loops of every pair, walked once and reused by every coloring
     masks = _loop_gram(pairings, word, lambda mask: mask)
-    n = ambient.n
+    n = quotient.n
     gram = ExactMatrix._of_int_rows(
         [[n ** m.bit_count() for m in row] for row in masks], len(pairings)
     )
@@ -418,9 +413,7 @@ def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
     return ok
 
 
-def joint_fullness(
-    word: Word, ambient: AmbientSpec, quotient: QuotientSpec
-) -> FullnessVerdict:
+def joint_fullness(word: Word, quotient: QuotientSpec) -> FullnessVerdict:
     """Decide whether every functional coinvariant for all colored summands of
     the block quotient already lies in the global non-crossing span.
 
@@ -429,26 +422,28 @@ def joint_fullness(
     image of each kernel basis vector is annihilated by the cokernel of the
     non-crossing Gram columns.  A failing verdict carries the first basis
     vector whose image is not as its witness, re-checked from scratch by an
-    in_column_space certificate before returning.
+    in_column_space certificate before returning.  The kernel always contains
+    span(e_NC) + ker G, as each G_c is positive semidefinite with G the sum of
+    the scattered G_c, so the verdict holds iff solution_dim equals that
+    subspace's dimension m - rank G + rank G[:, NC] (m pairings, NC the
+    non-crossing ones).
     """
     if not word.balanced:
         raise ValueError("joint fullness is a question about balanced words only")
-    pairings, nc_indices, gram, constraints = fullness_system(word, ambient, quotient)
+    pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     solution = constraints.nullspace_basis()
     cokernel = _cokernel(gram.row_list(), nc_indices)
     for a in solution:
         image = gram.matvec(a)
         if any(sum(map(mul, y, image)) for y in cokernel):
             witness = tuple(a)
-            if not verify_witness(word, ambient, quotient, witness):
+            if not verify_witness(word, quotient, witness):
                 raise VerificationError("witness fails re-verification")
             return FullnessVerdict(False, len(solution), witness)
     return FullnessVerdict(True, len(solution), None)
 
 
-def verify_witness(
-    word: Word, ambient: AmbientSpec, quotient: QuotientSpec, coeffs
-) -> bool:
+def verify_witness(word: Word, quotient: QuotientSpec, coeffs) -> bool:
     """Re-check a claimed violation from scratch.
 
     True iff the coefficients satisfy every colored summand constraint yet
@@ -456,7 +451,7 @@ def verify_witness(
     coefficients may be ints or Fractions, such as a witness read back from
     its JSON strings.
     """
-    pairings, nc_indices, gram, constraints = fullness_system(word, ambient, quotient)
+    pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     coeffs = list(coeffs)
     if len(coeffs) != len(pairings):
         raise ValueError("coefficient vector length does not match the pairing count")
@@ -465,13 +460,11 @@ def verify_witness(
     return not in_noncrossing_span(gram, nc_indices, coeffs)
 
 
-def verdict_json(
-    word: Word, ambient: AmbientSpec, quotient: QuotientSpec, verdict: FullnessVerdict
-) -> dict:
+def verdict_json(word: Word, quotient: QuotientSpec, verdict: FullnessVerdict) -> dict:
     """JSON form of a verdict; witness coefficients serialize as exact strings."""
     return {
         "word": str(word),
-        "n": ambient.n,
+        "n": quotient.n,
         "quotient": [quotient.d_w, quotient.d_u],
         "holds": verdict.holds,
         "solution_dim": verdict.solution_space_dim,

@@ -121,10 +121,6 @@ class Pairing:
         """Number of arcs (k for a word of length 2k)."""
         return len(self.arcs)
 
-    @property
-    def n_positions(self) -> int:
-        return 2 * len(self.arcs)
-
     def partner(self) -> dict[int, int]:
         """Position -> matched position."""
         out: dict[int, int] = {}
@@ -135,7 +131,7 @@ class Pairing:
 
     def is_pairing_of(self, word: Word) -> bool:
         """True when the arcs cover the word's positions and every arc joins a V with a V*."""
-        if self.n_positions != len(word):
+        if 2 * len(self) != len(word):
             return False
         return all(word.letters[a - 1] is not word.letters[b - 1] for a, b in self.arcs)
 
@@ -269,7 +265,7 @@ def block_balanced_colorings(word: Word) -> list[Coloring]:
 
 def is_block_respecting(p: Pairing, coloring: Coloring) -> bool:
     """True when every arc stays inside a single block of the coloring."""
-    if p.n_positions != len(coloring):
+    if 2 * len(p) != len(coloring):
         raise ValueError("pairing and coloring lengths differ")
     blocks = coloring.blocks
     return all(blocks[a - 1] is blocks[b - 1] for a, b in p.arcs)
@@ -285,7 +281,7 @@ def loop_decomposition(
     exponent in Gram matrix entries.  With a coloring given, both pairings
     must respect it, and each loop is tagged by the block it stays in.
     """
-    if p.n_positions != q.n_positions:
+    if len(p) != len(q):
         raise ValueError("pairings live on different position sets")
     if coloring is not None:
         if not is_block_respecting(p, coloring) or not is_block_respecting(q, coloring):
@@ -294,7 +290,7 @@ def loop_decomposition(
     qmap = q.partner()
     loops = []
     seen: set[int] = set()
-    for start in range(1, p.n_positions + 1):
+    for start in range(1, 2 * len(p) + 1):
         if start in seen:
             continue
         cycle = [start]

@@ -134,11 +134,10 @@ def test_05_noncrossing_functionals_independent():
 
 def _fullness_sweep(n, d_w, d_u, budget, number):
     start = time.perf_counter()
-    ambient = AmbientSpec(n)
     quotient = QuotientSpec(d_w, d_u)
     ok = True
     for word in balanced_words(8):
-        verdict = joint_fullness(word, ambient, quotient)
+        verdict = joint_fullness(word, quotient)
         if not verdict.holds:
             ok = False
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ import pytest
 
 from freeqg import cli
 from freeqg.cli import main
-from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness, verdict_json
+from freeqg.coinvariants import QuotientSpec, joint_fullness, verdict_json
 from freeqg.linalg import ExactMatrix
 from freeqg.words import balanced_words, orbit_key, parse_word
 
@@ -117,11 +117,8 @@ def test_orbit_sweep_matches_per_word_verdicts(capsys, monkeypatch, n, d_w, d_u)
     monkeypatch.delenv("QGI_THREADS", raising=False)
     argv = ["fullness", "--max-len", "8", "--n", str(n), "--dw", str(d_w), "--du", str(d_u)]
     code, report = run_json(capsys, argv)
-    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
-    expected = [
-        verdict_json(w, ambient, quotient, joint_fullness(w, ambient, quotient))
-        for w in balanced_words(8)
-    ]
+    quotient = QuotientSpec(d_w, d_u)
+    expected = [verdict_json(w, quotient, joint_fullness(w, quotient)) for w in balanced_words(8)]
     assert code == 0
     assert report["result"]["verdicts"] == expected
 
@@ -232,6 +229,28 @@ def test_fullness_negative_max_len_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--max-len" in captured.err
+
+
+@pytest.mark.parametrize(
+    "target,threads",
+    [(["--word", "uU"], None), (["--max-len", "4"], None), (["--max-len", "4"], "2")],
+)
+def test_fullness_blocks_must_sum_to_n(capsys, monkeypatch, target, threads):
+    if threads is None:
+        monkeypatch.delenv("QGI_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QGI_THREADS", threads)
+    code = main(["fullness", *target, "--n", "5", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: quotient blocks sum to 4, ambient size is 5"]
+    # a nonpositive ambient size is reported before the sum
+    code = main(["fullness", *target, "--n", "0", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ambient size must be >= 1"]
 
 
 def test_fusion_json(capsys):

@@ -120,9 +120,9 @@ def test_gram_matches_dense_realization(text, n):
 
 
 def test_realize_functional_cap():
-    word = parse_word("uUuU")
+    word = parse_word("uUuUuUuU")
     with pytest.raises(RealizationTooLarge) as err:
-        realize_functional(enumerate_pairings(word)[0], word, AmbientSpec(10), cap=100)
+        realize_functional(enumerate_pairings(word)[0], word, AmbientSpec(10))
     assert "Gram" in str(err.value)
 
 
@@ -338,7 +338,7 @@ def test_invariant_dimension_frozen_values():
 
 def test_invariant_dimension_cap():
     with pytest.raises(RealizationTooLarge):
-        invariant_dimension_oracle(parse_word("uU" * 4), AmbientSpec(9), cap=1000)
+        invariant_dimension_oracle(parse_word("uU" * 4), AmbientSpec(9))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -392,8 +392,8 @@ def test_nc_rank_full_from_n_2_and_one_at_n_1(monkeypatch):
 def test_constraint_kernels_match_all_rows_elimination(n, d_w, d_u, monkeypatch):
     """The kernel found from the modular pivot rows is the all-rows Bareiss
     kernel, vector for vector."""
-    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
-    systems = [fullness_system(w, ambient, quotient)[3] for w in balanced_words(8)]
+    quotient = QuotientSpec(d_w, d_u)
+    systems = [fullness_system(w, quotient)[3] for w in balanced_words(8)]
     kernels = [c.nullspace_basis() for c in systems]
     monkeypatch.setattr(
         linalg, "_pivots_mod_p", lambda rows, n_cols: [(i, 0) for i in range(len(rows))]
@@ -401,13 +401,13 @@ def test_constraint_kernels_match_all_rows_elimination(n, d_w, d_u, monkeypatch)
     assert kernels == [c.nullspace_basis() for c in systems]
 
 
-def check_constraint_rows_by_colorings(word, ambient, quotient):
+def check_constraint_rows_by_colorings(word, quotient):
     """Each constraint row appears once.  The rows are y @ G_c for every
     cokernel vector y of the non-crossing columns of every colored Gram matrix
     G_c, scattered to pairing coordinates, nonzero, in first-occurrence order;
     here that route scans block_balanced_colorings and runs on the
     ExactMatrix cokernel and product."""
-    pairings, nc_indices, _, constraints = fullness_system(word, ambient, quotient)
+    pairings, nc_indices, _, constraints = fullness_system(word, quotient)
     rows = constraints.row_list()
     assert len(set(map(tuple, rows))) == len(rows), str(word)
     expected = {}
@@ -429,17 +429,15 @@ def check_constraint_rows_by_colorings(word, ambient, quotient):
 
 @pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
 def test_constraint_rows_are_the_distinct_colored_cokernel_rows(n, d_w, d_u):
-    ambient, quotient = AmbientSpec(n), QuotientSpec(d_w, d_u)
+    quotient = QuotientSpec(d_w, d_u)
     for word in balanced_words(8):
-        check_constraint_rows_by_colorings(word, ambient, quotient)
+        check_constraint_rows_by_colorings(word, quotient)
 
 
 def test_constraint_rows_by_colorings_on_a_length_10_word():
     """The same route past length 8, where colorings outnumber the distinct
     colored subproblems most (252 against 27 here)."""
-    check_constraint_rows_by_colorings(
-        parse_word("uuUuUUuUuU"), AmbientSpec(4), QuotientSpec(2, 2)
-    )
+    check_constraint_rows_by_colorings(parse_word("uuUuUUuUuU"), QuotientSpec(2, 2))
 
 
 @pytest.mark.parametrize("n,d_w,d_u,distinct", [(4, 2, 2, 27), (5, 4, 1, 52)])
@@ -465,26 +463,20 @@ def test_fullness_system_solves_each_colored_subproblem_once(n, d_w, d_u, distin
         return cokernel(gram_rows, inside)
 
     monkeypatch.setattr(coinvariants, "_cokernel", spy)
-    fullness_system(word, AmbientSpec(n), quotient)
+    fullness_system(word, quotient)
     assert len(calls) == len(subproblems)
 
 
 def test_fullness_system_shapes():
     word = parse_word("uuUU")
-    pairings, nc_indices, gram, constraints = fullness_system(
-        word, AmbientSpec(2), QuotientSpec(1, 1)
-    )
+    pairings, nc_indices, gram, constraints = fullness_system(word, QuotientSpec(1, 1))
     assert len(pairings) == 2
     assert nc_indices == [1]
     assert gram.row_list() == [[4, 2], [2, 4]]
     assert constraints.cols == 2
-    with pytest.raises(ValueError):
-        fullness_system(word, AmbientSpec(3), QuotientSpec(1, 1))
     # both matrices skip the entry scan of the public constructor
     for text in ("uuUU", "uuUUuU", "uuUuUU"):
-        _, _, gram, constraints = fullness_system(
-            parse_word(text), AmbientSpec(3), QuotientSpec(2, 1)
-        )
+        _, _, gram, constraints = fullness_system(parse_word(text), QuotientSpec(2, 1))
         assert constraints.rows
         for matrix in (gram, constraints):
             assert all(type(x) is int for row in matrix.row_list() for x in row)
@@ -591,58 +583,72 @@ def test_cokernel_rule_matches_sympy_on_rank_deficient_columns():
     [(2, 1, 1), (3, 2, 1), (3, 1, 2), (4, 2, 2), (5, 4, 1)],
 )
 def test_joint_fullness_small_words_hold(n, d_w, d_u):
-    ambient = AmbientSpec(n)
     quotient = QuotientSpec(d_w, d_u)
     for word in balanced_words(4):
-        verdict = joint_fullness(word, ambient, quotient)
+        verdict = joint_fullness(word, quotient)
         assert verdict.holds, (str(word), n, d_w, d_u)
         assert verdict.witness is None
 
 
 def test_joint_fullness_frozen_solution_dims():
-    verdict = joint_fullness(parse_word("uuUU"), AmbientSpec(4), QuotientSpec(2, 2))
+    verdict = joint_fullness(parse_word("uuUU"), QuotientSpec(2, 2))
     assert (verdict.holds, verdict.solution_space_dim) == (True, 1)
-    verdict = joint_fullness(parse_word("uUuU"), AmbientSpec(4), QuotientSpec(2, 2))
+    verdict = joint_fullness(parse_word("uUuU"), QuotientSpec(2, 2))
     assert (verdict.holds, verdict.solution_space_dim) == (True, 2)
-    verdict = joint_fullness(parse_word(""), AmbientSpec(4), QuotientSpec(2, 2))
+    verdict = joint_fullness(parse_word(""), QuotientSpec(2, 2))
     assert (verdict.holds, verdict.solution_space_dim) == (True, 1)
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_solution_dim_against_the_noncrossing_span_plus_gram_kernel(n, d_w, d_u):
+    """N = span(e_NC) + ker G always lies in the constraint kernel, so the
+    verdict holds iff solution_dim equals dim N = m - rank G + rank G[:, NC],
+    counted here from two ranks of the ambient Gram matrix alone."""
+    quotient = QuotientSpec(d_w, d_u)
+    extra = {(4, 2, 2): ["uUuUuUuUuU"], (5, 4, 1): ["uuUuUUuUuU"]}.get((n, d_w, d_u), [])
+    for word in balanced_words(8) + [parse_word(text) for text in extra]:
+        pairings = enumerate_pairings(word)
+        ncs = set(enumerate_noncrossing(word))
+        nc = [i for i, p in enumerate(pairings) if p in ncs]
+        gram = gram_matrix(pairings, word, AmbientSpec(n))
+        dim_n = len(pairings) - gram.rank() + gram.column_submatrix(nc).rank()
+        verdict = joint_fullness(word, quotient)
+        assert verdict.solution_space_dim >= dim_n, str(word)
+        assert (verdict.solution_space_dim == dim_n) == verdict.holds, str(word)
 
 
 def test_joint_fullness_conjectured_n3_case_holds_on_short_words():
     # the three-dimensional ambient case with blocks (2, 1): not covered by the
     # general argument, but computationally the conclusion persists
-    ambient = AmbientSpec(3)
     quotient = QuotientSpec(2, 1)
     for word in balanced_words(6):
-        assert joint_fullness(word, ambient, quotient).holds, str(word)
+        assert joint_fullness(word, quotient).holds, str(word)
 
 
 def test_joint_fullness_rejects_unbalanced():
     with pytest.raises(ValueError):
-        joint_fullness(parse_word("uu"), AmbientSpec(2), QuotientSpec(1, 1))
+        joint_fullness(parse_word("uu"), QuotientSpec(1, 1))
 
 
 def test_verify_witness_rejects_non_witnesses():
     word = parse_word("uuUU")
-    ambient = AmbientSpec(2)
     quotient = QuotientSpec(1, 1)
     # the crossing direction violates the colored constraints here
-    assert not verify_witness(word, ambient, quotient, [1, 0])
+    assert not verify_witness(word, quotient, [1, 0])
     # an actual solution-space vector lies in the non-crossing span
-    _, _, _, constraints = fullness_system(word, ambient, quotient)
+    _, _, _, constraints = fullness_system(word, quotient)
     solution = constraints.nullspace_basis()
     assert solution
-    assert not verify_witness(word, ambient, quotient, solution[0])
+    assert not verify_witness(word, quotient, solution[0])
     with pytest.raises(ValueError):
-        verify_witness(word, ambient, quotient, [1, 0, 0])
+        verify_witness(word, quotient, [1, 0, 0])
 
 
 def test_verdict_json_shape():
     word = parse_word("uuUU")
-    ambient = AmbientSpec(4)
     quotient = QuotientSpec(2, 2)
-    verdict = joint_fullness(word, ambient, quotient)
-    doc = verdict_json(word, ambient, quotient, verdict)
+    verdict = joint_fullness(word, quotient)
+    doc = verdict_json(word, quotient, verdict)
     assert doc == {
         "word": "uuUU",
         "n": 4,
@@ -654,5 +660,5 @@ def test_verdict_json_shape():
     from freeqg.coinvariants import FullnessVerdict
 
     fake = FullnessVerdict(False, 2, (Fraction(1, 2), Fraction(-3)))
-    doc = verdict_json(word, ambient, quotient, fake)
+    doc = verdict_json(word, quotient, fake)
     assert doc["witness"] == ["1/2", "-3"]

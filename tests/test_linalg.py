@@ -385,7 +385,7 @@ def test_zero_row_and_zero_column_edges():
 SELF_CHECKS_UNDER_O = """
 import sys
 from freeqg import coinvariants
-from freeqg.coinvariants import AmbientSpec, QuotientSpec, joint_fullness
+from freeqg.coinvariants import QuotientSpec, joint_fullness
 from freeqg.linalg import ExactMatrix, VerificationError
 from freeqg.words import parse_word
 
@@ -438,7 +438,7 @@ def first_call_without_noncrossing(*args):
 coinvariants.fullness_system = first_call_without_noncrossing
 expect_raise(
     "witness",
-    lambda: joint_fullness(parse_word("uuUU"), AmbientSpec(2), QuotientSpec(1, 1)),
+    lambda: joint_fullness(parse_word("uuUU"), QuotientSpec(1, 1)),
 )
 """
 

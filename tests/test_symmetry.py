@@ -76,7 +76,7 @@ def test_gram_matrix_of_image_is_permuted(text, move):
 @given(words, maps)
 def test_fullness_verdict_is_invariant(text, move):
     image_text, _ = apply(text, move)
-    ambient, quotient = AmbientSpec(3), QuotientSpec(2, 1)
-    before = joint_fullness(parse_word(text), ambient, quotient)
-    after = joint_fullness(parse_word(image_text), ambient, quotient)
+    quotient = QuotientSpec(2, 1)
+    before = joint_fullness(parse_word(text), quotient)
+    after = joint_fullness(parse_word(image_text), quotient)
     assert (after.holds, after.solution_space_dim) == (before.holds, before.solution_space_dim)
