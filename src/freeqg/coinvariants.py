@@ -7,7 +7,7 @@ functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
 size of the block it stays in.  One routine builds every Gram matrix: it
 codes the slot permutation of every pair as an integer, by one numpy matmul
-unless the list is short, and walks each distinct code once for its loops;
+per block of rows, and walks each distinct code once for its loops;
 ambient and colored matrices differ only in how they weigh those loops, so
 fullness_system weighs one walk of all pairs for the ambient matrix and
 every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
@@ -122,9 +122,6 @@ class FullnessVerdict:
 
 
 _BLOCK_ENTRIES = 1 << 15  # Gram entries per matmul in _loop_gram
-# shorter lists are coded in Python, where numpy's fixed cost per call
-# outweighs its speed per entry (measured crossover near 200 entries)
-_NUMPY_MIN_ENTRIES = 256
 
 
 def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> list[tuple]:
@@ -134,10 +131,10 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
     of the loop's least V slot.  With V* slot t joined to V slot back[t],
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
     slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
-    matmul (k ** B) @ B.T codes every pair (in int64 below k^k = 2^63), or
-    Python does for short lists.  Each distinct code is walked and weighed
-    once, then looked up through a table of all k^k codes, or np.unique when
-    there are more codes than entries."""
+    matmul (k ** B) @ B.T codes every pair, in int64 below k^k = 2^63 and in
+    object arrays of Python ints above.  Each distinct code is walked and
+    weighed once, then looked up through a table of all k^k codes, or
+    np.unique when there are more codes than entries."""
     if coloring is not None and len(coloring) != len(word):
         raise ValueError("coloring length does not match word length")
     plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
@@ -161,6 +158,8 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
             raise ValueError(f"{p} does not respect the coloring {coloring!s}")
         back.append(row)
     m, k = len(back), len(plain)
+    if not m:
+        return []
     bits = [1 << pos - 1 for pos in plain]
     weights = {}
 
@@ -181,9 +180,6 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
         weights[code] = weight(mask)
         return weights[code]
 
-    if m * m < _NUMPY_MIN_ENTRIES:
-        powers = [[k**x for x in row] for row in back]
-        return [tuple([weigh(sum(map(mul, r, q))) for q in back]) for r in powers]
     size = k**k
     # every partial sum of a code is below size
     b = np.array(back, dtype=np.int64 if size < 1 << 63 else object)

@@ -257,12 +257,14 @@ class RelationReport:
 
 def _relation_gaps(rep: MatrixRep) -> list[np.ndarray]:
     """Stacks of the matrices whose operator norms the relations bound: the
-    four unitarity gaps, then for family 'B' the skew parts of the blocks."""
+    four unitarity gaps, then for family 'B' the skew parts of the blocks.
+    An inf entry gives NaN gaps, which fail every check, so numpy need not warn."""
     bigs = (rep.big_matrix(), rep.big_matrix(entrywise_adjoint=True))
-    products = [x for big in bigs for x in (big.conj().T @ big, big @ big.conj().T)]
-    stacks = [np.stack(products) - np.eye(rep.n * rep.d)]
-    if rep.family == "B":
-        stacks.append(rep.images - np.swapaxes(rep.images.conj(), -1, -2))
+    with np.errstate(invalid="ignore"):
+        products = [x for big in bigs for x in (big.conj().T @ big, big @ big.conj().T)]
+        stacks = [np.stack(products) - np.eye(rep.n * rep.d)]
+        if rep.family == "B":
+            stacks.append(rep.images - np.swapaxes(rep.images.conj(), -1, -2))
     return stacks
 
 
@@ -301,7 +303,8 @@ def _require_unitary(mat, what: str, ndim: int = 2) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{what} must be a square matrix")
-    gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
+    with np.errstate(invalid="ignore"):  # an inf entry gives a NaN gap, which fails
+        gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
     for k, residual in enumerate(_unsettled_norms(gap, _UNITARY_INPUT_TOL)):
         if not residual <= _UNITARY_INPUT_TOL:
             raise ValueError(

@@ -23,8 +23,6 @@ __all__ = [
     "Word",
     "Pairing",
     "Coloring",
-    "Loop",
-    "LoopDecomposition",
     "WordParseError",
     "parse_word",
     "parse_coloring",
@@ -78,9 +76,6 @@ class Word:
 
     def __str__(self) -> str:
         return "".join(letter.value for letter in self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
 
     @property
     def balanced(self) -> bool:
@@ -159,26 +154,6 @@ def parse_coloring(text: str) -> Coloring:
         raise ValueError(f"coloring must be a string over 'W'/'U', got {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Loop:
-    """One closed cycle in the overlay of two pairings; block is set in the colored case."""
-
-    positions: tuple[int, ...]
-    block: Block | None = None
-
-
-@dataclass(frozen=True)
-class LoopDecomposition:
-    loops: tuple[Loop, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.loops)
-
-    def count_in(self, block: Block) -> int:
-        return sum(loop.block is block for loop in self.loops)
-
-
 def enumerate_pairings(word: Word) -> list[Pairing]:
     """All color-respecting perfect matchings of the word.
 
@@ -189,10 +164,7 @@ def enumerate_pairings(word: Word) -> list[Pairing]:
     star = word.positions(Letter.STAR)
     if len(plain) != len(star):
         return []
-    pairings = []
-    for images in itertools.permutations(star):
-        arcs = tuple((a, b) if a < b else (b, a) for a, b in zip(plain, images))
-        pairings.append(Pairing(arcs))
+    pairings = [Pairing(tuple(zip(plain, images))) for images in itertools.permutations(star)]
     pairings.sort(key=lambda p: p.arcs)
     return pairings
 
@@ -271,21 +243,18 @@ def is_block_respecting(p: Pairing, coloring: Coloring) -> bool:
     return all(blocks[a - 1] is blocks[b - 1] for a, b in p.arcs)
 
 
-def loop_decomposition(
-    p: Pairing, q: Pairing, coloring: Coloring | None = None
-) -> LoopDecomposition:
-    """Closed loops of the multigraph drawn by the arcs of p and q together.
+def loop_decomposition(p: Pairing, q: Pairing) -> tuple[tuple[int, ...], ...]:
+    """Closed loops of the multigraph drawn by the arcs of p and q together,
+    each as the positions of a walk from its least position, p-arc first, in
+    order of those least positions.
 
     Every position lies on one p-arc and one q-arc, so walks alternating
     between the two pairings close up into loops; the loop count is the
-    exponent in Gram matrix entries.  With a coloring given, both pairings
-    must respect it, and each loop is tagged by the block it stays in.
+    exponent in Gram matrix entries.  When both pairings respect a coloring,
+    every loop stays in one block, the block of any of its positions.
     """
     if len(p) != len(q):
         raise ValueError("pairings live on different position sets")
-    if coloring is not None:
-        if not is_block_respecting(p, coloring) or not is_block_respecting(q, coloring):
-            raise ValueError("colored loop decomposition needs block-respecting pairings")
     pmap = p.partner()
     qmap = q.partner()
     loops = []
@@ -303,9 +272,8 @@ def loop_decomposition(
                 break
             cycle.append(pos)
         seen.update(cycle)
-        block = coloring.blocks[start - 1] if coloring is not None else None
-        loops.append(Loop(tuple(cycle), block))
-    return LoopDecomposition(tuple(loops))
+        loops.append(tuple(cycle))
+    return tuple(loops)
 
 
 def balanced_words(max_len: int) -> list[Word]:

@@ -189,6 +189,7 @@ def test_tiny_tolerances_skip_the_frobenius_bound():
         assert witness.norm == np.linalg.norm(evaluate(poly, witness.rep), 2) > 0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_inputs_fail_with_documented_messages(bad):
     rng = np.random.default_rng(4)
@@ -206,6 +207,7 @@ def test_non_finite_inputs_fail_with_documented_messages(bad):
         lift_b_to_a(np.eye(1), broken)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_check_relations_fails_a_non_finite_rep(family, bad):

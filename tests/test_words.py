@@ -180,23 +180,8 @@ def test_is_block_respecting():
 def test_loop_decomposition_frozen_example():
     p = Pairing(((1, 2), (3, 4)))
     q = Pairing(((1, 4), (2, 3)))
-    dec = loop_decomposition(p, q)
-    assert dec.count == 1
-    assert dec.loops[0].positions == (1, 2, 3, 4)
-    same = loop_decomposition(p, p)
-    assert same.count == 2
-    assert [loop.positions for loop in same.loops] == [(1, 2), (3, 4)]
-
-
-def test_loop_decomposition_colored_tags():
-    p = Pairing(((1, 4), (2, 3)))
-    coloring = parse_coloring("WUUW")
-    dec = loop_decomposition(p, p, coloring)
-    assert dec.count == 2
-    assert dec.count_in(Block.W) == 1
-    assert dec.count_in(Block.U) == 1
-    with pytest.raises(ValueError):
-        loop_decomposition(p, p, parse_coloring("WWWU"))
+    assert loop_decomposition(p, q) == ((1, 2, 3, 4),)
+    assert loop_decomposition(p, p) == ((1, 2), (3, 4))
 
 
 @pytest.mark.parametrize("text", ["uUuU", "uuUU", "uUuUuU"])
@@ -205,13 +190,13 @@ def test_loop_counts_symmetric_and_bounded(text):
     pairings = enumerate_pairings(word)
     k = len(word) // 2
     for p in pairings:
-        assert loop_decomposition(p, p).count == k
+        assert len(loop_decomposition(p, p)) == k
         for q in pairings:
             forward = loop_decomposition(p, q)
             backward = loop_decomposition(q, p)
-            assert forward.count == backward.count
-            assert 1 <= forward.count <= k
-            covered = sorted(pos for loop in forward.loops for pos in loop.positions)
+            assert len(forward) == len(backward)
+            assert 1 <= len(forward) <= k
+            covered = sorted(pos for loop in forward for pos in loop)
             assert covered == list(range(1, len(word) + 1))
 
 
