@@ -128,7 +128,7 @@ def cmd_fusion(args) -> tuple[dict, dict, bool, list | None]:
     left = parse_word(args.left)
     right = parse_word(args.right)
     parameters = {"left": str(left), "right": str(right)}
-    return parameters, fuse(left, right).to_json(), True, None
+    return parameters, {"terms": {str(w): m for w, m in fuse(left, right).items()}}, True, None
 
 
 def cmd_dim(args) -> tuple[dict, int, bool, list | None]:

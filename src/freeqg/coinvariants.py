@@ -37,8 +37,6 @@ import numpy as np
 
 from .linalg import ExactMatrix, VerificationError
 from .words import (
-    Block,
-    Coloring,
     Letter,
     Pairing,
     Word,
@@ -124,9 +122,9 @@ class FullnessVerdict:
 _BLOCK_ENTRIES = 1 << 15  # Gram entries per matmul in _loop_gram
 
 
-def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -> list[tuple]:
+def _loop_gram(pairings, word: Word, weight) -> list[tuple]:
     """Rows, as tuples, of the symmetric matrix of weight(mask) over all
-    pairs of pairings (which must respect the coloring, if given); mask has
+    pairs of pairings, ambient or colored by the choice of weight; mask has
     one bit per loop of the overlay of p_i and p_j, at the 0-based position
     of the loop's least V slot.  With V* slot t joined to V slot back[t],
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
@@ -135,8 +133,6 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
     object arrays of Python ints above.  Each distinct code is walked and
     weighed once, then looked up through a table of all k^k codes, or
     np.unique when there are more codes than entries."""
-    if coloring is not None and len(coloring) != len(word):
-        raise ValueError("coloring length does not match word length")
     plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
     slot = {pos: s for s, pos in enumerate(plain)}
@@ -154,8 +150,6 @@ def _loop_gram(pairings, word: Word, weight, coloring: Coloring | None = None) -
                 row[~t] = s
             else:
                 raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
-        if coloring is not None and not is_block_respecting(p, coloring):
-            raise ValueError(f"{p} does not respect the coloring {coloring!s}")
         back.append(row)
     m, k = len(back), len(plain)
     if not m:
@@ -223,15 +217,21 @@ def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
 
 
 def gram_matrix_colored(
-    pairings, word: Word, coloring: Coloring, quotient: QuotientSpec
+    pairings, word: Word, coloring: str, quotient: QuotientSpec
 ) -> ExactMatrix:
     """Colored Gram matrix: every loop contributes the size of its block.
 
-    All pairings must respect the coloring; entry (i, j) is
-    d_w^(W loops) * d_u^(U loops) of the overlay of p_i and p_j.
+    All pairings must respect the coloring, a string over 'W'/'U' with one
+    letter per slot of the word; entry (i, j) is d_w^(W loops) * d_u^(U loops)
+    of the overlay of p_i and p_j.
     """
-    wmask = sum(1 << i for i, block in enumerate(coloring.blocks) if block is Block.W)
-    rows = _loop_gram(pairings, word, _colored_weight(wmask, quotient), coloring)
+    if len(coloring) != len(word) or not set(coloring) <= {"W", "U"}:
+        raise ValueError(f"{coloring!r} is not a W/U coloring of {word!s}")
+    for p in pairings:
+        if not is_block_respecting(p, coloring):
+            raise ValueError(f"{p} does not respect the coloring {coloring}")
+    wmask = sum(1 << i for i, block in enumerate(coloring) if block == "W")
+    rows = _loop_gram(pairings, word, _colored_weight(wmask, quotient))
     return ExactMatrix._of_int_rows(rows, len(rows))
 
 

@@ -3,7 +3,8 @@
 Irreducible classes are indexed by arbitrary words; two classes multiply by
 splitting off a suffix of the left word that cancels, as a star-reversed
 mirror, against a prefix of the right word.  Dimensions follow a two-term
-recursion in the ambient size n and grow like Chebyshev polynomials.
+recursion in the ambient size n and grow like Chebyshev polynomials.  A
+fusion vector is a plain dict from Word to a positive multiplicity.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from .words import Letter, Word
 
 __all__ = [
-    "FusionVector",
     "star_reverse",
     "fuse",
     "fuse_vectors",
@@ -20,63 +20,12 @@ __all__ = [
 ]
 
 
-class FusionVector:
-    """Finitely supported multiplicity vector over words."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Word, int] | None = None):
-        cleaned: dict[Word, int] = {}
-        for word, mult in (terms or {}).items():
-            if not isinstance(word, Word):
-                raise TypeError(f"keys must be Word, got {type(word).__name__}")
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult} for {word!s}")
-            if mult:
-                cleaned[word] = mult
-        self._terms = cleaned
-
-    @classmethod
-    def unit(cls, word: Word) -> "FusionVector":
-        return cls({word: 1})
-
-    def items(self):
-        return self._terms.items()
-
-    def multiplicity(self, word: Word) -> int:
-        return self._terms.get(word, 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FusionVector) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        inner = " + ".join(
-            f"{mult}*[{word!s}]" for word, mult in sorted(
-                self._terms.items(), key=lambda kv: (len(kv[0]), str(kv[0]))
-            )
-        )
-        return f"FusionVector({inner or '0'})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": {
-                str(word): mult
-                for word, mult in sorted(
-                    self._terms.items(), key=lambda kv: (len(kv[0]), str(kv[0]))
-                )
-            }
-        }
-
-
 def star_reverse(word: Word) -> Word:
     """Reverse the word and flip each letter; an involution."""
     return Word(tuple(letter.flipped() for letter in reversed(word.letters)))
 
 
-def fuse(x: Word, y: Word) -> FusionVector:
+def fuse(x: Word, y: Word) -> dict[Word, int]:
     """Product of the classes of x and y.
 
     One summand for every splitting x = v.g, y = g*.w where g* is the
@@ -90,17 +39,26 @@ def fuse(x: Word, y: Word) -> FusionVector:
             continue
         fused = Word(x.letters[: len(x) - cut] + y.letters[cut:])
         terms[fused] = terms.get(fused, 0) + 1
-    return FusionVector(terms)
+    return terms
 
 
-def fuse_vectors(left: FusionVector, right: FusionVector) -> FusionVector:
-    """Bilinear extension of fuse."""
+def fuse_vectors(left: dict[Word, int], right: dict[Word, int]) -> dict[Word, int]:
+    """Bilinear extension of fuse to fusion vectors.
+
+    Keys must be Words and multiplicities nonnegative; a zero multiplicity
+    adds nothing, and the result holds no zero entry.
+    """
+    for word, mult in [*left.items(), *right.items()]:
+        if not isinstance(word, Word):
+            raise TypeError(f"keys must be Word, got {type(word).__name__}")
+        if mult < 0:
+            raise ValueError(f"negative multiplicity {mult} for {word!s}")
     terms: dict[Word, int] = {}
     for xw, xm in left.items():
         for yw, ym in right.items():
             for word, mult in fuse(xw, yw).items():
                 terms[word] = terms.get(word, 0) + xm * ym * mult
-    return FusionVector(terms)
+    return {word: mult for word, mult in terms.items() if mult}
 
 
 def trivial_multiplicity(word: Word) -> int:
@@ -109,10 +67,10 @@ def trivial_multiplicity(word: Word) -> int:
 
     Equals the number of non-crossing pairings of the word.
     """
-    acc = FusionVector.unit(Word(()))
+    acc = {Word(()): 1}
     for letter in word.letters:
-        acc = fuse_vectors(acc, FusionVector.unit(Word((letter,))))
-    return acc.multiplicity(Word(()))
+        acc = fuse_vectors(acc, {Word((letter,)): 1})
+    return acc.get(Word(()), 0)
 
 
 def dimension(word: Word, n: int) -> int:

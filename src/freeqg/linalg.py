@@ -41,7 +41,7 @@ class VerificationError(AssertionError):
 
 def _as_int(x) -> int:
     if isinstance(x, int):
-        return x
+        return int(x)  # bools and other int subclasses are stored as ints
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise TypeError(f"exact matrices take integer entries, got {x!r}")

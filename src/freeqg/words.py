@@ -5,7 +5,8 @@ stands for a V factor, letter 'U' for a dual V* factor.  A pairing matches
 every V slot with a V* slot; drawn as arcs over the word, it is non-crossing
 when no two arcs intersect.  Overlaying two pairings cuts the positions into
 closed loops, and loop counts are the exponents in every Gram matrix entry
-downstream.
+downstream.  For a splitting V = W + U, a coloring is a plain string over
+'W'/'U' naming the block of each slot, in memory as in JSON.
 
 Positions are 1-based throughout, matching the diagrams and the JSON
 serialization ``{"arcs": [[1, 2], ...]}``.
@@ -19,18 +20,14 @@ from enum import Enum
 
 __all__ = [
     "Letter",
-    "Block",
     "Word",
     "Pairing",
-    "Coloring",
     "WordParseError",
     "parse_word",
-    "parse_coloring",
     "enumerate_pairings",
     "is_noncrossing",
     "enumerate_noncrossing",
     "enumerate_colorings",
-    "block_balanced_colorings",
     "is_block_respecting",
     "loop_decomposition",
     "balanced_words",
@@ -46,13 +43,6 @@ class Letter(Enum):
 
     def flipped(self) -> "Letter":
         return Letter.STAR if self is Letter.PLAIN else Letter.PLAIN
-
-
-class Block(Enum):
-    """Summand label for a slot once V is split as W + U."""
-
-    W = "W"
-    U = "U"
 
 
 class WordParseError(ValueError):
@@ -134,26 +124,6 @@ class Pairing:
         return {"arcs": [list(arc) for arc in self.arcs]}
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Assignment of each slot to the W or the U block of a splitting V = W + U."""
-
-    blocks: tuple[Block, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __str__(self) -> str:
-        return "".join(block.value for block in self.blocks)
-
-
-def parse_coloring(text: str) -> Coloring:
-    try:
-        return Coloring(tuple(Block(ch) for ch in text))
-    except ValueError:
-        raise ValueError(f"coloring must be a string over 'W'/'U', got {text!r}") from None
-
-
 def enumerate_pairings(word: Word) -> list[Pairing]:
     """All color-respecting perfect matchings of the word.
 
@@ -212,35 +182,16 @@ def enumerate_noncrossing(word: Word) -> list[Pairing]:
     return pairings
 
 
-def enumerate_colorings(word: Word) -> list[Coloring]:
+def enumerate_colorings(word: Word) -> list[str]:
     """All 2^len(word) block assignments, in W-before-U lexicographic order."""
-    return [
-        Coloring(blocks)
-        for blocks in itertools.product((Block.W, Block.U), repeat=len(word))
-    ]
+    return ["".join(c) for c in itertools.product("WU", repeat=len(word))]
 
 
-def block_balanced_colorings(word: Word) -> list[Coloring]:
-    """The colorings in which each block holds as many V as V* slots, in the
-    order of enumerate_colorings: exactly those admitting a block-respecting
-    pairing."""
-    signs = [1 if letter is Letter.PLAIN else -1 for letter in word.letters]
-    return [
-        coloring
-        for coloring in enumerate_colorings(word)
-        if all(
-            sum(s for s, b in zip(signs, coloring.blocks) if b is block) == 0
-            for block in Block
-        )
-    ]
-
-
-def is_block_respecting(p: Pairing, coloring: Coloring) -> bool:
+def is_block_respecting(p: Pairing, coloring: str) -> bool:
     """True when every arc stays inside a single block of the coloring."""
-    if 2 * len(p) != len(coloring):
-        raise ValueError("pairing and coloring lengths differ")
-    blocks = coloring.blocks
-    return all(blocks[a - 1] is blocks[b - 1] for a, b in p.arcs)
+    if 2 * len(p) != len(coloring) or not set(coloring) <= {"W", "U"}:
+        raise ValueError(f"{coloring!r} is not a W/U coloring of the slots of {p}")
+    return all(coloring[a - 1] == coloring[b - 1] for a, b in p.arcs)
 
 
 def loop_decomposition(p: Pairing, q: Pairing) -> tuple[tuple[int, ...], ...]:

@@ -27,17 +27,14 @@ from freeqg.coinvariants import (
 from freeqg import coinvariants, linalg
 from freeqg.linalg import ExactMatrix
 from freeqg.words import (
-    Block,
     Pairing,
     balanced_words,
-    block_balanced_colorings,
     enumerate_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
     is_noncrossing,
     loop_decomposition,
-    parse_coloring,
     parse_word,
 )
 
@@ -55,7 +52,7 @@ def colored_realization(p, word, coloring, quotient):
         for pos in range(1, length + 1):
             value = idx[pos - 1]
             in_w = value < quotient.d_w
-            wants_w = coloring.blocks[pos - 1] is Block.W
+            wants_w = coloring[pos - 1] == "W"
             if in_w is not wants_w or idx[partner[pos] - 1] != value:
                 good = False
                 break
@@ -135,11 +132,11 @@ def test_realize_functional_rejects_foreign_pairing():
 def test_gram_matrix_colored_frozen_examples():
     word = parse_word("uuUU")
     quotient = QuotientSpec(2, 2)
-    all_w = parse_coloring("WWWW")
+    all_w = "WWWW"
     pairings = enumerate_pairings(word)
     gram = gram_matrix_colored(pairings, word, all_w, quotient)
     assert gram.row_list() == [[4, 2], [2, 4]]
-    mixed = parse_coloring("WUUW")
+    mixed = "WUUW"
     nested = Pairing(((1, 4), (2, 3)))
     gram_mixed = gram_matrix_colored([nested], word, mixed, quotient)
     assert gram_mixed.row_list() == [[4]]
@@ -148,10 +145,15 @@ def test_gram_matrix_colored_frozen_examples():
 def test_gram_matrix_colored_rejects_block_violations():
     word = parse_word("uuUU")
     crossing = Pairing(((1, 3), (2, 4)))
+    nested = Pairing(((1, 4), (2, 3)))
     with pytest.raises(ValueError):
-        gram_matrix_colored([crossing], word, parse_coloring("WUUW"), QuotientSpec(2, 2))
-    with pytest.raises(ValueError):
-        gram_matrix_colored([], word, parse_coloring("WW"), QuotientSpec(2, 2))
+        gram_matrix_colored([crossing], word, "WUUW", QuotientSpec(2, 2))
+    # colorings of the wrong length or over other letters, with or without
+    # pairings to check them on
+    for bad in ("WW", "WUUWW", "WUXW", "wuuw"):
+        for pairings in ([], [nested]):
+            with pytest.raises(ValueError):
+                gram_matrix_colored(pairings, word, bad, QuotientSpec(2, 2))
 
 
 @pytest.mark.parametrize("quotient", [QuotientSpec(1, 2), QuotientSpec(2, 1)])
@@ -169,6 +171,15 @@ def test_colored_gram_matches_dense_realization(text, quotient):
         for i, vi in enumerate(vectors):
             for j, vj in enumerate(vectors):
                 assert int(np.dot(vi, vj)) == gram.entry(i, j), (str(coloring), i, j)
+
+
+def respected_colorings(word):
+    """The colorings some pairing of the word respects, by brute force over
+    all 2^len(word) of them, in enumerate_colorings order."""
+    pairings = enumerate_pairings(word)
+    return [
+        c for c in enumerate_colorings(word) if any(is_block_respecting(p, c) for p in pairings)
+    ]
 
 
 def check_grams_by_loop_decomposition(word, pairings, colorings):
@@ -194,8 +205,8 @@ def check_grams_by_loop_decomposition(word, pairings, colorings):
         for i, p in enumerate(selected):
             for j, q in enumerate(selected):
                 # a loop of block-respecting pairings stays in one block
-                blocks = [coloring.blocks[loop[0] - 1] for loop in loop_decomposition(p, q)]
-                w_loops, u_loops = blocks.count(Block.W), blocks.count(Block.U)
+                blocks = [coloring[loop[0] - 1] for loop in loop_decomposition(p, q)]
+                w_loops, u_loops = blocks.count("W"), blocks.count("U")
                 for qt, gram in zip(quotients, colored):
                     expected = qt.d_w**w_loops * qt.d_u**u_loops
                     assert gram.entry(i, j) == expected, (str(coloring), i, j)
@@ -205,7 +216,7 @@ def check_grams_by_loop_decomposition(word, pairings, colorings):
 def test_gram_matrices_match_loop_decomposition(text):
     """Both Gram routines, entry by entry, against the loop-count formula."""
     word = parse_word(text)
-    check_grams_by_loop_decomposition(word, enumerate_pairings(word), block_balanced_colorings(word))
+    check_grams_by_loop_decomposition(word, enumerate_pairings(word), respected_colorings(word))
 
 
 @pytest.mark.parametrize(
@@ -228,7 +239,7 @@ def test_gram_matrices_of_rearranged_pairing_lists(text, arrange, dense):
     pairings = arrange(enumerate_pairings(word))
     k = len(text) // 2
     assert dense is (k**k <= len(pairings) ** 2 if pairings else None)
-    check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
+    check_grams_by_loop_decomposition(word, pairings, respected_colorings(word))
 
 
 def test_gram_matrices_of_a_long_alternating_word():
@@ -240,7 +251,7 @@ def test_gram_matrices_of_a_long_alternating_word():
     tail = enumerate_noncrossing(parse_word("uU" * 4))
     pairings = [Pairing(prefix + tuple((a + 32, b + 32) for a, b in p.arcs)) for p in tail]
     assert all(p.is_pairing_of(word) and is_noncrossing(p) for p in pairings)
-    colorings = [parse_coloring(c) for c in ("W" * 40, "W" * 32 + "U" * 8, "WWUU" * 10)]
+    colorings = ["W" * 40, "W" * 32 + "U" * 8, "WWUU" * 10]
     check_grams_by_loop_decomposition(word, pairings, colorings)
 
 
@@ -290,7 +301,7 @@ def test_gram_of_noncrossing_pairings_takes_the_unique_branch():
     word = parse_word("uU" * 8)
     pairings = enumerate_noncrossing(word)[:40]
     assert len(pairings) ** 2 < 8**8 < 2**63
-    colorings = [parse_coloring(c) for c in ("W" * 16, "WWUU" * 4, "WW" + "U" * 14)]
+    colorings = ["W" * 16, "WWUU" * 4, "WW" + "U" * 14]
     check_grams_by_loop_decomposition(word, pairings, colorings)
 
 
@@ -301,7 +312,7 @@ def test_gram_of_one_pairing_on_the_dense_table(text):
     word = parse_word(text)
     (pairing,) = enumerate_pairings(word)
     for pairings in ([pairing], [pairing] * 3):
-        check_grams_by_loop_decomposition(word, pairings, block_balanced_colorings(word))
+        check_grams_by_loop_decomposition(word, pairings, respected_colorings(word))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -354,7 +365,7 @@ def test_gram_of_an_empty_pairing_list():
     word = parse_word("uu")
     assert nc_rank(word, AmbientSpec(2)) == 0
     gram = gram_matrix([], word, AmbientSpec(2))
-    colored = gram_matrix_colored([], word, parse_coloring("WU"), QuotientSpec(1, 1))
+    colored = gram_matrix_colored([], word, "WU", QuotientSpec(1, 1))
     assert (gram.rows, gram.cols) == (colored.rows, colored.cols) == (0, 0)
 
 
@@ -405,13 +416,13 @@ def check_constraint_rows_by_colorings(word, quotient):
     """Each constraint row appears once.  The rows are y @ G_c for every
     cokernel vector y of the non-crossing columns of every colored Gram matrix
     G_c, scattered to pairing coordinates, nonzero, in first-occurrence order;
-    here that route scans block_balanced_colorings and runs on the
-    ExactMatrix cokernel and product."""
+    here that route scans every coloring for the ones some pairing respects
+    (respected_colorings) and runs on the ExactMatrix cokernel and product."""
     pairings, nc_indices, _, constraints = fullness_system(word, quotient)
     rows = constraints.row_list()
     assert len(set(map(tuple, rows))) == len(rows), str(word)
     expected = {}
-    for coloring in block_balanced_colorings(word):
+    for coloring in respected_colorings(word):
         sel = [i for i, p in enumerate(pairings) if is_block_respecting(p, coloring)]
         colored = gram_matrix_colored([pairings[i] for i in sel], word, coloring, quotient)
         nc_local = [k for k, i in enumerate(sel) if i in nc_indices]
@@ -443,11 +454,11 @@ def test_constraint_rows_by_colorings_on_a_length_10_word():
 @pytest.mark.parametrize("n,d_w,d_u,distinct", [(4, 2, 2, 27), (5, 4, 1, 52)])
 def test_fullness_system_solves_each_colored_subproblem_once(n, d_w, d_u, distinct, monkeypatch):
     """One cokernel per distinct (colored Gram rows, non-crossing positions)
-    pair, counted here from block_balanced_colorings and gram_matrix_colored."""
+    pair, counted here from respected_colorings and gram_matrix_colored."""
     word, quotient = parse_word("uuUuUUuUuU"), QuotientSpec(d_w, d_u)
     pairings = enumerate_pairings(word)
     nc_set = set(enumerate_noncrossing(word))
-    colorings = block_balanced_colorings(word)
+    colorings = respected_colorings(word)
     subproblems = set()
     for coloring in colorings:
         selected = [p for p in pairings if is_block_respecting(p, coloring)]

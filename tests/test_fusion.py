@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from freeqg.fusion import (
-    FusionVector,
     dimension,
     fuse,
     fuse_vectors,
@@ -30,30 +29,36 @@ def test_star_reverse_examples_and_involution():
         assert star_reverse(star_reverse(word)) == word
 
 
-def test_fusion_vector_validation():
+def test_fuse_vectors_validation():
+    unit = {Word(()): 1}
     with pytest.raises(ValueError):
-        FusionVector({Word(()): -1})
+        fuse_vectors({Word(()): -1}, unit)
+    with pytest.raises(ValueError):
+        fuse_vectors(unit, {parse_word("u"): -2})
     with pytest.raises(TypeError):
-        FusionVector({"uU": 1})
-    assert FusionVector({Word(()): 0}) == FusionVector({})
-    assert len(FusionVector({parse_word("u"): 2})) == 1
+        fuse_vectors({"uU": 1}, unit)
+    with pytest.raises(TypeError):
+        fuse_vectors(unit, {"uU": 1})
+    assert fuse_vectors({Word(()): 0}, unit) == {}
+    assert fuse_vectors({parse_word("u"): 0, parse_word("U"): 1}, unit) == {parse_word("U"): 1}
+    assert fuse_vectors({parse_word("u"): 2}, unit) == {parse_word("u"): 2}
 
 
 def test_fuse_frozen_examples():
-    assert fuse(parse_word("u"), parse_word("U")).to_json() == {
-        "terms": {"": 1, "uU": 1}
-    }
-    assert fuse(parse_word("u"), parse_word("u")).to_json() == {"terms": {"uu": 1}}
-    assert fuse(parse_word("uU"), parse_word("uU")).to_json() == {
-        "terms": {"": 1, "uU": 1, "uUuU": 1}
+    assert fuse(parse_word("u"), parse_word("U")) == {Word(()): 1, parse_word("uU"): 1}
+    assert fuse(parse_word("u"), parse_word("u")) == {parse_word("uu"): 1}
+    assert fuse(parse_word("uU"), parse_word("uU")) == {
+        Word(()): 1,
+        parse_word("uU"): 1,
+        parse_word("uUuU"): 1,
     }
 
 
 def test_fuse_unit_element():
     empty = Word(())
     for word in words_up_to(3):
-        assert fuse(word, empty) == FusionVector.unit(word)
-        assert fuse(empty, word) == FusionVector.unit(word)
+        assert fuse(word, empty) == {word: 1}
+        assert fuse(empty, word) == {word: 1}
 
 
 def test_fuse_associative():
@@ -62,8 +67,8 @@ def test_fuse_associative():
         for y in words:
             xy = fuse(x, y)
             for z in words:
-                left = fuse_vectors(xy, FusionVector.unit(z))
-                right = fuse_vectors(FusionVector.unit(x), fuse(y, z))
+                left = fuse_vectors(xy, {z: 1})
+                right = fuse_vectors({x: 1}, fuse(y, z))
                 assert left == right, (str(x), str(y), str(z))
 
 

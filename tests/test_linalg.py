@@ -45,6 +45,12 @@ def test_floats_rejected():
     assert m.matvec([Fraction(1, 3), 1]) == [Fraction(2)]
 
 
+def test_bool_entries_are_stored_as_ints():
+    rows = ExactMatrix([[True, 2], [0, False]]).row_list()
+    assert rows == [[1, 2], [0, 0]]
+    assert all(type(x) is int for row in rows for x in row)
+
+
 def test_identity_and_zeros():
     identity = ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)])
     assert identity.rank() == 4

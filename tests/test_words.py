@@ -4,14 +4,11 @@ from math import factorial
 import pytest
 
 from freeqg.words import (
-    Block,
-    Coloring,
     Letter,
     Pairing,
     Word,
     WordParseError,
     balanced_words,
-    block_balanced_colorings,
     enumerate_colorings,
     enumerate_noncrossing,
     enumerate_pairings,
@@ -19,7 +16,6 @@ from freeqg.words import (
     is_noncrossing,
     loop_decomposition,
     orbit_key,
-    parse_coloring,
     parse_word,
 )
 
@@ -146,35 +142,13 @@ def test_enumerate_colorings_order_and_count():
     assert len(enumerate_colorings(parse_word("uUuU"))) == 16
 
 
-def test_block_balanced_colorings_are_those_with_a_block_respecting_pairing():
-    for word in balanced_words(6):
-        pairings = enumerate_pairings(word)
-        usable = [
-            c
-            for c in enumerate_colorings(word)
-            if any(is_block_respecting(p, c) for p in pairings)
-        ]
-        assert block_balanced_colorings(word) == usable
-
-
-def test_block_balanced_colorings_frozen_example():
-    colorings = block_balanced_colorings(parse_word("uUuU"))
-    assert [str(c) for c in colorings] == ["WWWW", "WWUU", "WUUW", "UWWU", "UUWW", "UUUU"]
-    assert block_balanced_colorings(parse_word("uu")) == []
-
-
-def test_parse_coloring():
-    assert parse_coloring("WUW").blocks == (Block.W, Block.U, Block.W)
-    with pytest.raises(ValueError):
-        parse_coloring("WX")
-
-
 def test_is_block_respecting():
     p = Pairing(((1, 4), (2, 3)))
-    assert is_block_respecting(p, parse_coloring("WUUW"))
-    assert not is_block_respecting(p, parse_coloring("WUUU"))
-    with pytest.raises(ValueError):
-        is_block_respecting(p, parse_coloring("WW"))
+    assert is_block_respecting(p, "WUUW")
+    assert not is_block_respecting(p, "WUUU")
+    for bad in ("WW", "WUUWW", "WUXW", "wuuw"):
+        with pytest.raises(ValueError):
+            is_block_respecting(p, bad)
 
 
 def test_loop_decomposition_frozen_example():
