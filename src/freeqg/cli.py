@@ -52,8 +52,7 @@ def _worker_count() -> int:
 
 
 def _fullness_task(task: tuple[str, int, int]) -> dict:
-    word_str, d_w, d_u = task
-    word = parse_word(word_str)
+    word, d_w, d_u = task
     quotient = QuotientSpec(d_w, d_u)
     return verdict_json(word, quotient, joint_fullness(word, quotient))
 
@@ -61,9 +60,9 @@ def _fullness_task(task: tuple[str, int, int]) -> dict:
 def cmd_pairings(args) -> tuple[dict, dict, bool, list | None]:
     word = parse_word(args.word)
     pairings = enumerate_noncrossing(word) if args.noncrossing else enumerate_pairings(word)
-    parameters = {"word": str(word), "noncrossing": bool(args.noncrossing)}
+    parameters = {"word": word, "noncrossing": bool(args.noncrossing)}
     result = {
-        "word": str(word),
+        "word": word,
         "noncrossing": bool(args.noncrossing),
         "count": len(pairings),
         "pairings": [p.to_json() for p in pairings],
@@ -86,7 +85,7 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
         words = balanced_words(args.max_len)
     if quotient.n != ambient.n:
         raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
-    tasks = [(str(w), quotient.d_w, quotient.d_u) for w in words]
+    tasks = [(w, quotient.d_w, quotient.d_u) for w in words]
     # one verdict per symmetry orbit, decided on its first word
     orbits: dict[str, list[int]] = {}
     for i, word in enumerate(words):
@@ -127,19 +126,19 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
 def cmd_fusion(args) -> tuple[dict, dict, bool, list | None]:
     left = parse_word(args.left)
     right = parse_word(args.right)
-    parameters = {"left": str(left), "right": str(right)}
-    return parameters, {"terms": {str(w): m for w, m in fuse(left, right).items()}}, True, None
+    parameters = {"left": left, "right": right}
+    return parameters, {"terms": fuse(left, right)}, True, None
 
 
 def cmd_dim(args) -> tuple[dict, int, bool, list | None]:
     word = parse_word(args.word)
-    parameters = {"word": str(word), "n": args.n}
+    parameters = {"word": word, "n": args.n}
     return parameters, dimension(word, args.n), True, None
 
 
 def cmd_rank(args) -> tuple[dict, int, bool, list | None]:
     word = parse_word(args.word)
-    parameters = {"word": str(word), "n": args.n}
+    parameters = {"word": word, "n": args.n}
     return parameters, nc_rank(word, AmbientSpec(args.n)), True, None
 
 

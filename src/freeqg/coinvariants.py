@@ -37,12 +37,11 @@ import numpy as np
 
 from .linalg import ExactMatrix, VerificationError
 from .words import (
-    Letter,
     Pairing,
-    Word,
     enumerate_noncrossing,
     enumerate_pairings,
     is_block_respecting,
+    parse_word,
 )
 
 __all__ = [
@@ -122,7 +121,7 @@ class FullnessVerdict:
 _BLOCK_ENTRIES = 1 << 15  # Gram entries per matmul in _loop_gram
 
 
-def _loop_gram(pairings, word: Word, weight) -> list[tuple]:
+def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     """Rows, as tuples, of the symmetric matrix of weight(mask) over all
     pairs of pairings, ambient or colored by the choice of weight; mask has
     one bit per loop of the overlay of p_i and p_j, at the 0-based position
@@ -133,7 +132,8 @@ def _loop_gram(pairings, word: Word, weight) -> list[tuple]:
     object arrays of Python ints above.  Each distinct code is walked and
     weighed once, then looked up through a table of all k^k codes, or
     np.unique when there are more codes than entries."""
-    plain, star = word.positions(Letter.PLAIN), word.positions(Letter.STAR)
+    plain = [i for i, letter in enumerate(word, start=1) if letter == "u"]
+    star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
     slot = {pos: s for s, pos in enumerate(plain)}
     slot.update((pos, ~t) for t, pos in enumerate(star))
@@ -141,7 +141,7 @@ def _loop_gram(pairings, word: Word, weight) -> list[tuple]:
     for p in pairings:
         row = [0] * len(star)
         if 2 * len(p.arcs) != len(word):
-            raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
+            raise ValueError(f"{p} is not a color-respecting pairing of {word}")
         for a, b in p.arcs:
             s, t = slot[a], slot[b]
             if s < 0 <= t:
@@ -149,7 +149,7 @@ def _loop_gram(pairings, word: Word, weight) -> list[tuple]:
             elif t < 0 <= s:
                 row[~t] = s
             else:
-                raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
+                raise ValueError(f"{p} is not a color-respecting pairing of {word}")
         back.append(row)
     m, k = len(back), len(plain)
     if not m:
@@ -209,15 +209,15 @@ def _colored_weight(wmask: int, quotient: QuotientSpec):
     return lambda mask: d_w ** (mask & wmask).bit_count() * d_u ** (mask & ~wmask).bit_count()
 
 
-def gram_matrix(pairings, word: Word, ambient: AmbientSpec) -> ExactMatrix:
+def gram_matrix(pairings, word: str, ambient: AmbientSpec) -> ExactMatrix:
     """Gram matrix of pairing functionals: entry (i, j) is n^loops(p_i, p_j)."""
     n = ambient.n
-    rows = _loop_gram(pairings, word, lambda mask: n ** mask.bit_count())
+    rows = _loop_gram(pairings, parse_word(word), lambda mask: n ** mask.bit_count())
     return ExactMatrix._of_int_rows(rows, len(rows))
 
 
 def gram_matrix_colored(
-    pairings, word: Word, coloring: str, quotient: QuotientSpec
+    pairings, word: str, coloring: str, quotient: QuotientSpec
 ) -> ExactMatrix:
     """Colored Gram matrix: every loop contributes the size of its block.
 
@@ -225,8 +225,8 @@ def gram_matrix_colored(
     letter per slot of the word; entry (i, j) is d_w^(W loops) * d_u^(U loops)
     of the overlay of p_i and p_j.
     """
-    if len(coloring) != len(word) or not set(coloring) <= {"W", "U"}:
-        raise ValueError(f"{coloring!r} is not a W/U coloring of {word!s}")
+    if len(coloring) != len(parse_word(word)) or not set(coloring) <= {"W", "U"}:
+        raise ValueError(f"{coloring!r} is not a W/U coloring of {word}")
     for p in pairings:
         if not is_block_respecting(p, coloring):
             raise ValueError(f"{p} does not respect the coloring {coloring}")
@@ -235,7 +235,7 @@ def gram_matrix_colored(
     return ExactMatrix._of_int_rows(rows, len(rows))
 
 
-def realize_functional(p: Pairing, word: Word, ambient: AmbientSpec) -> np.ndarray:
+def realize_functional(p: Pairing, word: str, ambient: AmbientSpec) -> np.ndarray:
     """Dense 0/1 vector of the functional T_p in the n^len(word) coordinate space.
 
     Coordinates are multi-indices in row-major order (first slot varies
@@ -244,7 +244,7 @@ def realize_functional(p: Pairing, word: Word, ambient: AmbientSpec) -> np.ndarr
     entries, which is what the exact tests exploit.
     """
     n = ambient.n
-    length = len(word)
+    length = len(parse_word(word))
     size = n**length
     if size > DEFAULT_REALIZATION_CAP:
         raise RealizationTooLarge(
@@ -252,7 +252,7 @@ def realize_functional(p: Pairing, word: Word, ambient: AmbientSpec) -> np.ndarr
             "use the loop-count Gram route instead"
         )
     if not p.is_pairing_of(word):
-        raise ValueError(f"{p} is not a color-respecting pairing of {word!s}")
+        raise ValueError(f"{p} is not a color-respecting pairing of {word}")
     vec = np.zeros(size, dtype=np.int64)
     strides = [n ** (length - s - 1) for s in range(length)]
     for values in itertools.product(range(n), repeat=len(p.arcs)):
@@ -263,7 +263,7 @@ def realize_functional(p: Pairing, word: Word, ambient: AmbientSpec) -> np.ndarr
     return vec
 
 
-def invariant_dimension_oracle(word: Word, ambient: AmbientSpec) -> int:
+def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
     """Dimension of the unitary-group invariants in the word's tensor space.
 
     Computed straight from the Lie algebra action, independently of any
@@ -276,18 +276,17 @@ def invariant_dimension_oracle(word: Word, ambient: AmbientSpec) -> int:
     the answer is the nullity of M, computed exactly.
     """
     n = ambient.n
-    length = len(word)
+    length = len(parse_word(word))
     if n**length > DEFAULT_REALIZATION_CAP:
         raise RealizationTooLarge(
             f"the invariant computation scans {n**length} multi-indices "
             f"(cap {DEFAULT_REALIZATION_CAP})"
         )
-    letters = word.letters
     balanced_idx = []
     for idx in itertools.product(range(n), repeat=length):
         counts = [0] * n
-        for letter, v in zip(letters, idx):
-            counts[v] += 1 if letter is Letter.PLAIN else -1
+        for letter, v in zip(word, idx):
+            counts[v] += 1 if letter == "u" else -1
         if not any(counts):
             balanced_idx.append(idx)
     if not balanced_idx:
@@ -302,11 +301,11 @@ def invariant_dimension_oracle(word: Word, ambient: AmbientSpec) -> int:
             # output multi-index in the full coordinate space
             columns: dict[tuple[int, ...], dict[int, int]] = {}
             for j, idx in enumerate(balanced_idx):
-                for s, (letter, v) in enumerate(zip(letters, idx)):
-                    if letter is Letter.PLAIN and v == b:
+                for s, (letter, v) in enumerate(zip(word, idx)):
+                    if letter == "u" and v == b:
                         out = idx[:s] + (a,) + idx[s + 1:]
                         coeff = 1
-                    elif letter is Letter.STAR and v == a:
+                    elif letter == "U" and v == a:
                         out = idx[:s] + (b,) + idx[s + 1:]
                         coeff = -1
                     else:
@@ -322,7 +321,7 @@ def invariant_dimension_oracle(word: Word, ambient: AmbientSpec) -> int:
     return m - ExactMatrix(psd, cols=m).rank()
 
 
-def nc_rank(word: Word, ambient: AmbientSpec) -> int:
+def nc_rank(word: str, ambient: AmbientSpec) -> int:
     """Rank of the Gram matrix of the word's non-crossing pairing functionals."""
     ncs = enumerate_noncrossing(word)
     return gram_matrix(ncs, word, ambient).rank()
@@ -336,7 +335,7 @@ def _cokernel(gram_rows, inside) -> list[list[int]]:
     return ExactMatrix._of_int_rows(rows, len(gram_rows)).nullspace_basis()
 
 
-def fullness_system(word: Word, quotient: QuotientSpec):
+def fullness_system(word: str, quotient: QuotientSpec):
     """Constraint system for joint coinvariance of a balanced word.
 
     Returns (pairings, nc_indices, gram, constraints):
@@ -409,7 +408,7 @@ def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
     return ok
 
 
-def joint_fullness(word: Word, quotient: QuotientSpec) -> FullnessVerdict:
+def joint_fullness(word: str, quotient: QuotientSpec) -> FullnessVerdict:
     """Decide whether every functional coinvariant for all colored summands of
     the block quotient already lies in the global non-crossing span.
 
@@ -424,7 +423,7 @@ def joint_fullness(word: Word, quotient: QuotientSpec) -> FullnessVerdict:
     subspace's dimension m - rank G + rank G[:, NC] (m pairings, NC the
     non-crossing ones).
     """
-    if not word.balanced:
+    if 2 * parse_word(word).count("u") != len(word):
         raise ValueError("joint fullness is a question about balanced words only")
     pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     solution = constraints.nullspace_basis()
@@ -439,7 +438,7 @@ def joint_fullness(word: Word, quotient: QuotientSpec) -> FullnessVerdict:
     return FullnessVerdict(True, len(solution), None)
 
 
-def verify_witness(word: Word, quotient: QuotientSpec, coeffs) -> bool:
+def verify_witness(word: str, quotient: QuotientSpec, coeffs) -> bool:
     """Re-check a claimed violation from scratch.
 
     True iff the coefficients satisfy every colored summand constraint yet
@@ -456,10 +455,10 @@ def verify_witness(word: Word, quotient: QuotientSpec, coeffs) -> bool:
     return not in_noncrossing_span(gram, nc_indices, coeffs)
 
 
-def verdict_json(word: Word, quotient: QuotientSpec, verdict: FullnessVerdict) -> dict:
+def verdict_json(word: str, quotient: QuotientSpec, verdict: FullnessVerdict) -> dict:
     """JSON form of a verdict; witness coefficients serialize as exact strings."""
     return {
-        "word": str(word),
+        "word": parse_word(word),
         "n": quotient.n,
         "quotient": [quotient.d_w, quotient.d_u],
         "holds": verdict.holds,

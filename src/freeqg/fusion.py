@@ -3,13 +3,14 @@
 Irreducible classes are indexed by arbitrary words; two classes multiply by
 splitting off a suffix of the left word that cancels, as a star-reversed
 mirror, against a prefix of the right word.  Dimensions follow a two-term
-recursion in the ambient size n and grow like Chebyshev polynomials.  A
-fusion vector is a plain dict from Word to a positive multiplicity.
+recursion in the ambient size n and grow like Chebyshev polynomials.  Words
+are plain strings over 'u'/'U', checked by words.parse_word, and a fusion
+vector is a plain dict from word to a positive multiplicity.
 """
 
 from __future__ import annotations
 
-from .words import Letter, Word
+from .words import parse_word
 
 __all__ = [
     "star_reverse",
@@ -20,40 +21,39 @@ __all__ = [
 ]
 
 
-def star_reverse(word: Word) -> Word:
+def star_reverse(word: str) -> str:
     """Reverse the word and flip each letter; an involution."""
-    return Word(tuple(letter.flipped() for letter in reversed(word.letters)))
+    return parse_word(word)[::-1].swapcase()
 
 
-def fuse(x: Word, y: Word) -> dict[Word, int]:
+def fuse(x: str, y: str) -> dict[str, int]:
     """Product of the classes of x and y.
 
     One summand for every splitting x = v.g, y = g*.w where g* is the
     star-reversal of g; the summand is the concatenation v.w and distinct
     splittings may collide on the same word.
     """
-    terms: dict[Word, int] = {}
+    x, y = parse_word(x), parse_word(y)
+    terms: dict[str, int] = {}
     for cut in range(min(len(x), len(y)) + 1):
-        suffix = Word(x.letters[len(x) - cut:])
-        if star_reverse(suffix).letters != y.letters[:cut]:
+        if star_reverse(x[len(x) - cut:]) != y[:cut]:
             continue
-        fused = Word(x.letters[: len(x) - cut] + y.letters[cut:])
+        fused = x[: len(x) - cut] + y[cut:]
         terms[fused] = terms.get(fused, 0) + 1
     return terms
 
 
-def fuse_vectors(left: dict[Word, int], right: dict[Word, int]) -> dict[Word, int]:
+def fuse_vectors(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
     """Bilinear extension of fuse to fusion vectors.
 
-    Keys must be Words and multiplicities nonnegative; a zero multiplicity
+    Keys must be words and multiplicities nonnegative; a zero multiplicity
     adds nothing, and the result holds no zero entry.
     """
     for word, mult in [*left.items(), *right.items()]:
-        if not isinstance(word, Word):
-            raise TypeError(f"keys must be Word, got {type(word).__name__}")
+        parse_word(word)
         if mult < 0:
-            raise ValueError(f"negative multiplicity {mult} for {word!s}")
-    terms: dict[Word, int] = {}
+            raise ValueError(f"negative multiplicity {mult} for {word!r}")
+    terms: dict[str, int] = {}
     for xw, xm in left.items():
         for yw, ym in right.items():
             for word, mult in fuse(xw, yw).items():
@@ -61,19 +61,19 @@ def fuse_vectors(left: dict[Word, int], right: dict[Word, int]) -> dict[Word, in
     return {word: mult for word, mult in terms.items() if mult}
 
 
-def trivial_multiplicity(word: Word) -> int:
+def trivial_multiplicity(word: str) -> int:
     """Multiplicity of the empty class in the left-to-right product of the
     word's single letters.
 
     Equals the number of non-crossing pairings of the word.
     """
-    acc = {Word(()): 1}
-    for letter in word.letters:
-        acc = fuse_vectors(acc, {Word((letter,)): 1})
-    return acc.get(Word(()), 0)
+    acc = {"": 1}
+    for letter in parse_word(word):
+        acc = fuse_vectors(acc, {letter: 1})
+    return acc.get("", 0)
 
 
-def dimension(word: Word, n: int) -> int:
+def dimension(word: str, n: int) -> int:
     """Dimension of the class of the word at ambient size n.
 
     Appending a letter multiplies the dimension by n, minus the dimension of
@@ -83,8 +83,8 @@ def dimension(word: Word, n: int) -> int:
     if n < 2:
         raise ValueError("dimension recursion needs n >= 2")
     prev, cur = 0, 1
-    for i, letter in enumerate(word.letters):
-        if i > 0 and word.letters[i - 1] is letter.flipped():
+    for i, letter in enumerate(parse_word(word)):
+        if i > 0 and word[i - 1] != letter:
             nxt = n * cur - prev
         else:
             nxt = n * cur

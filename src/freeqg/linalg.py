@@ -104,6 +104,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries, cols: int | None = None):
+        if cols is not None and type(cols) is not int:
+            raise TypeError(f"cols must be an int, got {cols!r}")
         data = tuple(map(tuple, entries))
         if set(map(type, chain.from_iterable(data))) - {int}:
             data = tuple(tuple(map(_as_int, row)) for row in data)
@@ -115,8 +117,8 @@ class ExactMatrix:
             if cols is not None and cols != inferred:
                 raise ValueError(f"cols={cols} but rows have {inferred} entries")
             cols = inferred
-        elif cols is None:
-            raise ValueError("a matrix with no rows needs an explicit column count")
+        elif cols is None or cols < 0:
+            raise ValueError(f"a matrix with no rows needs a column count >= 0, got {cols}")
         self.rows = len(data)
         self.cols = cols
         self._data = data

@@ -1,7 +1,9 @@
 """Colored words, pairings, block colorings and loop counting.
 
-A word indexes a mixed tensor power of the fundamental comodule: letter 'u'
-stands for a V factor, letter 'U' for a dual V* factor.  A pairing matches
+A word indexes a mixed tensor power of the fundamental comodule: it is a
+plain string in which letter 'u' stands for a V factor and letter 'U' for a
+dual V* factor.  parse_word checks a word, and every function taking one
+runs that check before any work.  A pairing matches
 every V slot with a V* slot; drawn as arcs over the word, it is non-crossing
 when no two arcs intersect.  Overlaying two pairings cuts the positions into
 closed loops, and loop counts are the exponents in every Gram matrix entry
@@ -16,11 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
-    "Letter",
-    "Word",
     "Pairing",
     "WordParseError",
     "parse_word",
@@ -35,16 +34,6 @@ __all__ = [
 ]
 
 
-class Letter(Enum):
-    """Tensor slot kind: PLAIN is a V factor, STAR is a V* factor."""
-
-    PLAIN = "u"
-    STAR = "U"
-
-    def flipped(self) -> "Letter":
-        return Letter.STAR if self is Letter.PLAIN else Letter.PLAIN
-
-
 class WordParseError(ValueError):
     """Invalid character in a word string; position is 1-based."""
 
@@ -55,39 +44,15 @@ class WordParseError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Word:
-    """An ordered tuple of letters; the empty word is the trivial comodule."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(letter.value for letter in self.letters)
-
-    @property
-    def balanced(self) -> bool:
-        """True when V and V* slots come in equal numbers."""
-        return 2 * sum(letter is Letter.PLAIN for letter in self.letters) == len(self)
-
-    def positions(self, letter: Letter) -> tuple[int, ...]:
-        """1-based positions carrying the given letter."""
-        return tuple(i for i, cur in enumerate(self.letters, start=1) if cur is letter)
-
-
-def parse_word(text: str) -> Word:
-    """Parse a word over {'u', 'U'}; anything else raises WordParseError."""
-    letters = []
-    for i, ch in enumerate(text, start=1):
-        if ch == "u":
-            letters.append(Letter.PLAIN)
-        elif ch == "U":
-            letters.append(Letter.STAR)
-        else:
-            raise WordParseError(ch, i)
-    return Word(tuple(letters))
+def parse_word(text: str) -> str:
+    """Check a word over {'u', 'U'} and return it unchanged.  A non-str raises
+    TypeError and the first other character WordParseError."""
+    if not isinstance(text, str):
+        raise TypeError(f"a word is a str, got {type(text).__name__}")
+    rest = text.lstrip("uU")
+    if rest:
+        raise WordParseError(rest[0], len(text) - len(rest) + 1)
+    return text
 
 
 @dataclass(frozen=True)
@@ -114,24 +79,24 @@ class Pairing:
             out[b] = a
         return out
 
-    def is_pairing_of(self, word: Word) -> bool:
+    def is_pairing_of(self, word: str) -> bool:
         """True when the arcs cover the word's positions and every arc joins a V with a V*."""
-        if 2 * len(self) != len(word):
+        if 2 * len(self) != len(parse_word(word)):
             return False
-        return all(word.letters[a - 1] is not word.letters[b - 1] for a, b in self.arcs)
+        return all(word[a - 1] != word[b - 1] for a, b in self.arcs)
 
     def to_json(self) -> dict:
         return {"arcs": [list(arc) for arc in self.arcs]}
 
 
-def enumerate_pairings(word: Word) -> list[Pairing]:
+def enumerate_pairings(word: str) -> list[Pairing]:
     """All color-respecting perfect matchings of the word.
 
     A balanced word with k V slots has exactly k! of them; an unbalanced word
     has none.  Emitted in lexicographic order of the sorted arc lists.
     """
-    plain = word.positions(Letter.PLAIN)
-    star = word.positions(Letter.STAR)
+    plain = [i for i, letter in enumerate(parse_word(word), start=1) if letter == "u"]
+    star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     if len(plain) != len(star):
         return []
     pairings = [Pairing(tuple(zip(plain, images))) for images in itertools.permutations(star)]
@@ -153,13 +118,13 @@ def is_noncrossing(p: Pairing) -> bool:
     return True
 
 
-def enumerate_noncrossing(word: Word) -> list[Pairing]:
+def enumerate_noncrossing(word: str) -> list[Pairing]:
     """The non-crossing pairings of the word, by nesting recursion.
 
     For the alternating word (uU)^k the count is the k-th Catalan number.
     Same ordering contract as enumerate_pairings.
     """
-    letters = word.letters
+    parse_word(word)
 
     def rec(segment: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
         if not segment:
@@ -169,7 +134,7 @@ def enumerate_noncrossing(word: Word) -> list[Pairing]:
         # the partner of the leftmost slot must leave an even gap on each side
         for t in range(1, len(segment), 2):
             j = segment[t]
-            if letters[j - 1] is letters[first - 1]:
+            if word[j - 1] == word[first - 1]:
                 continue
             arc = (first, j)
             for inner in rec(segment[1:t]):
@@ -182,9 +147,9 @@ def enumerate_noncrossing(word: Word) -> list[Pairing]:
     return pairings
 
 
-def enumerate_colorings(word: Word) -> list[str]:
+def enumerate_colorings(word: str) -> list[str]:
     """All 2^len(word) block assignments, in W-before-U lexicographic order."""
-    return ["".join(c) for c in itertools.product("WU", repeat=len(word))]
+    return ["".join(c) for c in itertools.product("WU", repeat=len(parse_word(word)))]
 
 
 def is_block_respecting(p: Pairing, coloring: str) -> bool:
@@ -227,21 +192,21 @@ def loop_decomposition(p: Pairing, q: Pairing) -> tuple[tuple[int, ...], ...]:
     return tuple(loops)
 
 
-def balanced_words(max_len: int) -> list[Word]:
+def balanced_words(max_len: int) -> list[str]:
     """Balanced words of length <= max_len, by length then lexicographically
     with 'u' before 'U'.  Includes the empty word."""
     words = []
     for length in range(0, max_len + 1, 2):
-        for letters in itertools.product((Letter.PLAIN, Letter.STAR), repeat=length):
-            if 2 * sum(letter is Letter.PLAIN for letter in letters) == length:
-                words.append(Word(letters))
+        for word in map("".join, itertools.product("uU", repeat=length)):
+            if 2 * word.count("u") == length:
+                words.append(word)
     return words
 
 
-def orbit_key(word: Word) -> str:
+def orbit_key(word: str) -> str:
     """Least string among the word's rotations, reversal and u<->U swap, in
     any combination.  These maps preserve pairings, non-crossingness and loop
     counts, so fullness verdicts are constant on an orbit."""
-    text = str(word)
-    images = (text, text[::-1], text.swapcase(), text[::-1].swapcase())
+    word = parse_word(word)
+    images = (word, word[::-1], word.swapcase(), word[::-1].swapcase())
     return min(w[r:] + w[:r] for w in images for r in range(len(w) or 1))

@@ -351,6 +351,72 @@ def test_gram_rank_equals_invariant_dimension(text, n):
     assert gram.rank() == invariant_dimension_oracle(word, ambient)
 
 
+def partitions(k, largest):
+    """Partitions of k into parts of at most `largest`, as non-increasing tuples."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
+
+
+def closed_form_rank(k, n):
+    """r(k, n): the sum of (f^shape)^2 over the shapes of k with at most n
+    rows, f^shape by the hook length formula; the hook of cell (i, j) is its
+    arm and the cell, part - j, plus its leg, the rows below reaching column j."""
+    total = 0
+    for shape in partitions(k, k):
+        if len(shape) > n:
+            continue
+        hooks = math.prod(
+            part - j + sum(row > j for row in shape[i + 1:])
+            for i, part in enumerate(shape)
+            for j in range(part)
+        )
+        total += (math.factorial(k) // hooks) ** 2
+    return total
+
+
+def test_closed_form_rank_values():
+    assert [closed_form_rank(6, n) for n in range(1, 7)] == [1, 132, 513, 694, 719, 720]
+    assert [closed_form_rank(k, 9) for k in range(6)] == [1, 1, 2, 6, 24, 120]
+
+
+def test_gram_ranks_match_the_closed_form():
+    """A second route to every ambient Gram rank, sharing no elimination.
+    The pairings of a word with k V slots are the permutations of S_k, and
+    the Gram matrix is the trace form of the image of the group algebra in
+    End(V^k), so by Schur-Weyl duality its rank is the dimension of that
+    image, r(k, n).  The sum of (f^shape)^2 over shapes with at most n rows
+    also counts the permutations of S_k with no decreasing subsequence longer
+    than n (Schensted, "Longest increasing and decreasing subsequences",
+    Canad. J. Math. 13, 1961; Stanley, Enumerative Combinatorics vol. 2,
+    ch. 7)."""
+    for word in balanced_words(8):
+        pairings = enumerate_pairings(word)
+        for n in range(1, 6):
+            rank = gram_matrix(pairings, word, AmbientSpec(n)).rank()
+            assert rank == closed_form_rank(len(word) // 2, n), (word, n)
+
+
+@pytest.mark.parametrize("d_w,d_u", [(2, 1), (1, 2), (2, 2), (4, 1)])
+def test_colored_gram_ranks_match_the_closed_form(d_w, d_u):
+    """The pairings that respect a block-balanced coloring are the products
+    S_(k_W) x S_(k_U), k_W and k_U the V slots of each block, and every loop
+    stays in one block, so the colored Gram matrix is the Kronecker product
+    of the two blocks' ambient ones and its rank r(k_W, d_w) * r(k_U, d_u)."""
+    quotient = QuotientSpec(d_w, d_u)
+    for word in balanced_words(8):
+        pairings = enumerate_pairings(word)
+        for coloring in respected_colorings(word):
+            selected = [p for p in pairings if is_block_respecting(p, coloring)]
+            rank = gram_matrix_colored(selected, word, coloring, quotient).rank()
+            k_w = sum(x == "u" and c == "W" for x, c in zip(word, coloring))
+            expected = closed_form_rank(k_w, d_w) * closed_form_rank(len(word) // 2 - k_w, d_u)
+            assert rank == expected, (word, coloring)
+
+
 def test_nc_rank_values():
     assert nc_rank(parse_word("uUuUuU"), AmbientSpec(2)) == 5
     assert nc_rank(parse_word("uUuUuU"), AmbientSpec(3)) == 5

@@ -32,6 +32,16 @@ def test_constructor_shapes():
         ExactMatrix([])
 
 
+def test_constructor_rejects_bad_column_counts():
+    with pytest.raises(ValueError):
+        ExactMatrix([], cols=-1)
+    with pytest.raises(TypeError):
+        ExactMatrix([], cols=2.5)
+    with pytest.raises(TypeError):
+        ExactMatrix([[1, 2]], cols=2.0)
+    assert ExactMatrix([], cols=0).nullspace_basis() == []
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         ExactMatrix([[1.5]])

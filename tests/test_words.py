@@ -3,10 +3,23 @@ from math import factorial
 
 import pytest
 
+from freeqg.coinvariants import (
+    AmbientSpec,
+    FullnessVerdict,
+    QuotientSpec,
+    fullness_system,
+    gram_matrix,
+    gram_matrix_colored,
+    invariant_dimension_oracle,
+    joint_fullness,
+    nc_rank,
+    realize_functional,
+    verdict_json,
+    verify_witness,
+)
+from freeqg.fusion import dimension, fuse, fuse_vectors, star_reverse, trivial_multiplicity
 from freeqg.words import (
-    Letter,
     Pairing,
-    Word,
     WordParseError,
     balanced_words,
     enumerate_colorings,
@@ -37,11 +50,9 @@ def all_matchings(positions):
 
 
 def test_parse_word_roundtrip():
-    word = parse_word("uUUu")
-    assert word.letters == (Letter.PLAIN, Letter.STAR, Letter.STAR, Letter.PLAIN)
-    assert str(word) == "uUUu"
-    assert len(word) == 4
-    assert word.balanced
+    text = "uUUu"
+    assert parse_word(text) is text
+    assert parse_word("") == ""
 
 
 def test_parse_word_rejects_bad_characters():
@@ -52,12 +63,47 @@ def test_parse_word_rejects_bad_characters():
         parse_word("uv")
 
 
+WORD_TAKERS = {
+    "enumerate_pairings": enumerate_pairings,
+    "enumerate_noncrossing": enumerate_noncrossing,
+    "enumerate_colorings": enumerate_colorings,
+    "orbit_key": orbit_key,
+    "is_pairing_of": Pairing(((1, 2),)).is_pairing_of,
+    "gram_matrix": lambda w: gram_matrix([], w, AmbientSpec(2)),
+    "gram_matrix_colored": lambda w: gram_matrix_colored([], w, "WU", QuotientSpec(1, 1)),
+    "realize_functional": lambda w: realize_functional(Pairing(((1, 2),)), w, AmbientSpec(2)),
+    "invariant_dimension_oracle": lambda w: invariant_dimension_oracle(w, AmbientSpec(2)),
+    "nc_rank": lambda w: nc_rank(w, AmbientSpec(2)),
+    "fullness_system": lambda w: fullness_system(w, QuotientSpec(1, 1)),
+    "joint_fullness": lambda w: joint_fullness(w, QuotientSpec(1, 1)),
+    "verify_witness": lambda w: verify_witness(w, QuotientSpec(1, 1), [1]),
+    "verdict_json": lambda w: verdict_json(w, QuotientSpec(1, 1), FullnessVerdict(True, 1)),
+    "star_reverse": star_reverse,
+    "fuse_left": lambda w: fuse(w, "u"),
+    "fuse_right": lambda w: fuse("u", w),
+    "fuse_vectors": lambda w: fuse_vectors({"": 1}, {w: 0}),
+    "trivial_multiplicity": trivial_multiplicity,
+    "dimension": lambda w: dimension(w, 2),
+}
+
+
+@pytest.mark.parametrize("name", WORD_TAKERS)
+def test_word_takers_reject_bad_words(name):
+    """Every public function that takes a word checks it by parse_word before
+    any work: a bad string raises instead of giving a result."""
+    with pytest.raises(WordParseError) as err:
+        WORD_TAKERS[name]("uX")
+    assert err.value.position == 2
+    with pytest.raises(TypeError):
+        WORD_TAKERS[name](("u", "U"))
+
+
 def test_word_positions_and_balance():
-    word = parse_word("uuU")
-    assert word.positions(Letter.PLAIN) == (1, 2)
-    assert word.positions(Letter.STAR) == (3,)
-    assert not word.balanced
-    assert parse_word("").balanced
+    # arcs join the u positions 1, 2 to the U positions 3, 4
+    assert Pairing(((1, 3), (2, 4))).is_pairing_of("uuUU")
+    assert not Pairing(((1, 2), (3, 4))).is_pairing_of("uuUU")
+    assert "uuU" not in balanced_words(4)
+    assert "" in balanced_words(0)
 
 
 def test_pairing_normalizes_and_validates():
@@ -99,11 +145,10 @@ def test_pairing_count_is_factorial(text):
 @pytest.mark.parametrize("length", [2, 4, 6])
 def test_pairings_match_bruteforce_matchings(length):
     # independent route: color-blind matchings filtered down to color-mixed arcs
-    for letters in itertools.product((Letter.PLAIN, Letter.STAR), repeat=length):
-        word = Word(letters)
+    for word in map("".join, itertools.product("uU", repeat=length)):
         expected = set()
         for arcs in all_matchings(range(1, length + 1)):
-            if all(letters[a - 1] is not letters[b - 1] for a, b in arcs):
+            if all(word[a - 1] != word[b - 1] for a, b in arcs):
                 expected.add(tuple(sorted(tuple(sorted(arc)) for arc in arcs)))
         assert {p.arcs for p in enumerate_pairings(word)} == expected
 
