@@ -81,10 +81,10 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
         words = [parse_word(args.word)]
     elif args.max_len < 0:
         raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
-    else:
-        words = balanced_words(args.max_len)
     if quotient.n != ambient.n:
         raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
+    if args.word is None:  # after the checks: the word list grows as 2^max_len
+        words = balanced_words(args.max_len)
     tasks = [(w, quotient.d_w, quotient.d_u) for w in words]
     # one verdict per symmetry orbit, decided on its first word
     orbits: dict[str, list[int]] = {}

@@ -400,12 +400,9 @@ def fullness_system(word: str, quotient: QuotientSpec):
 
 
 def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
-    """Does the functional with these pairing coefficients (ints or Fractions)
-    lie in the span of the non-crossing ones?  Decided exactly through the
-    Gram matrix."""
-    image = gram.matvec(coeffs)
-    ok, _ = gram.column_submatrix(nc_indices).in_column_space(image)
-    return ok
+    """Does the functional with these int pairing coefficients lie in the
+    span of the non-crossing ones?  Decided exactly through the Gram matrix."""
+    return gram.column_submatrix(nc_indices).in_column_space(gram.matvec(coeffs))[0]
 
 
 def joint_fullness(word: str, quotient: QuotientSpec) -> FullnessVerdict:
@@ -443,8 +440,8 @@ def verify_witness(word: str, quotient: QuotientSpec, coeffs) -> bool:
 
     True iff the coefficients satisfy every colored summand constraint yet
     the functional falls outside the global non-crossing span.  The
-    coefficients may be ints or Fractions, such as a witness read back from
-    its JSON strings.
+    coefficients are ints; a witness read back from its JSON strings is
+    [int(s) for s in witness].
     """
     pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     coeffs = list(coeffs)

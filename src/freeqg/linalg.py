@@ -7,25 +7,26 @@ nonzero integer, so the modular rank is a proven lower bound on the exact
 rank: when it is full, `rank` skips exact elimination.
 
 Exact elimination serves only `nullspace_basis` and the fallback of `rank`;
-`in_column_space` reads its certificate off the kernel of an augmented
-matrix.  A tall kernel (a length-10 constraint system has 1750 distinct
-rows over 120 columns) is eliminated on the modular pivot rows only; kernel
-vectors that pass the check against all rows prove the two kernels equal,
-and otherwise all rows are eliminated.  The elimination is fraction-free
-(Bareiss, Math. Comp. 22, 1968) with first-nonzero pivoting, so each `//`
-is exact.  Fractions appear only where a rational is the answer; floats
-are rejected outright.
+`in_column_space` reads its integer certificate off the kernel of an
+augmented matrix.  A tall kernel (a length-10 constraint system has 1750
+distinct rows over 120 columns) is eliminated on the modular pivot rows
+only; kernel vectors that pass the check against all rows prove the two
+kernels equal, and otherwise all rows are eliminated.  The elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968) with first-nonzero pivoting,
+so each `//` is exact.
 
-Entry types are checked where data enters: the public constructor scans
-every entry, and ExactMatrix._of_int_rows takes rows of ints by construction
-(Gram matrices, submatrices, augmented matrices) without that scan.
+Ints go in and ints come out.  Entry types are checked where data enters:
+the public constructor and the vector methods apply one rule, which stores
+an int subclass such as bool as an int and rejects everything else
+(rationals and floats included) with TypeError.  ExactMatrix._of_int_rows
+takes rows of ints by construction (Gram matrices, submatrices, augmented
+matrices) without that scan.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 import numpy as np
@@ -39,20 +40,16 @@ class VerificationError(AssertionError):
     """An exact result failed its re-check: an internal fault, not bad input."""
 
 
-def _as_int(x) -> int:
-    if isinstance(x, int):
-        return int(x)  # bools and other int subclasses are stored as ints
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise TypeError(f"exact matrices take integer entries, got {x!r}")
-
-
-def _as_exact(vec) -> list:
-    vec = list(vec)
-    for x in vec:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"exact vectors take int or Fraction entries, got {x!r}")
-    return vec
+def _ints(values) -> list[int]:
+    """values as a list of plain ints: int subclasses such as bool become
+    ints, and any other entry raises TypeError."""
+    values = list(values)
+    if set(map(type, values)) - {int}:
+        for x in values:
+            if not isinstance(x, int):
+                raise TypeError(f"exact matrices and vectors take int entries, got {x!r}")
+        values = list(map(int, values))
+    return values
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -99,7 +96,7 @@ def _pivots_mod_p(rows, n_cols: int) -> list[tuple[int, int]]:
 
 class ExactMatrix:
     """Immutable dense matrix of ints.  The constructor checks every entry:
-    it rejects all but ints and integral Fractions, stored as ints."""
+    it rejects all but ints, and stores an int subclass as an int."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -108,7 +105,7 @@ class ExactMatrix:
             raise TypeError(f"cols must be an int, got {cols!r}")
         data = tuple(map(tuple, entries))
         if set(map(type, chain.from_iterable(data))) - {int}:
-            data = tuple(tuple(map(_as_int, row)) for row in data)
+            data = tuple(tuple(_ints(row)) for row in data)
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:
@@ -161,9 +158,9 @@ class ExactMatrix:
             cols=other.cols,
         )
 
-    def matvec(self, vec) -> list:
-        """self @ vec; the entries are ints for an int vector, else Fractions."""
-        vec = _as_exact(vec)
+    def matvec(self, vec) -> list[int]:
+        """self @ vec for an int vector."""
+        vec = _ints(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
         return [sum(map(mul, row, vec)) for row in self._data]
@@ -251,29 +248,25 @@ class ExactMatrix:
         """Row vectors y with y @ self == 0 (basis of the cokernel)."""
         return self.transpose().nullspace_basis()
 
-    def in_column_space(self, vec) -> tuple[bool, list[Fraction] | None]:
-        """Decide exactly whether vec (ints or Fractions) lies in the column space.
+    def in_column_space(self, vec) -> tuple[bool, tuple[list[int], int] | None]:
+        """Decide exactly whether the int vector vec lies in the column space.
 
-        Returns (True, x) with self @ x == vec and x a list of Fractions, or
-        (False, None).  With s the lcm of the denominators of vec, vec lies
-        in the span iff the last column of [self | s * vec] is free, that is,
-        iff its last kernel basis vector (y, t) has t != 0; then
-        x = -y / (t * s), which is zero at every non-pivot column.  The
-        certificate is re-checked in ints before returning, as
-        self @ y == -t * (s * vec).
+        Returns (True, (y, t)), the integer certificate with
+        self @ y == -t * vec and t != 0, or (False, None).  vec lies in the
+        span iff the last column of [self | vec] is free, that is, iff its
+        last kernel basis vector (y, t) has t != 0; y is then zero at every
+        non-pivot column.  The certificate is re-checked before returning.
         """
-        vec = _as_exact(vec)
+        vec = _ints(vec)
         if len(vec) != self.rows:
             raise ValueError(f"vector length {len(vec)} does not match {self.rows} rows")
-        scale = lcm(*(v.denominator for v in vec))
-        column = [v.numerator * (scale // v.denominator) for v in vec]
         aug = ExactMatrix._of_int_rows(
-            [row + (c,) for row, c in zip(self._data, column)], self.cols + 1
+            [row + (v,) for row, v in zip(self._data, vec)], self.cols + 1
         )
         basis = aug.nullspace_basis()
         if not basis or not basis[-1][-1]:
             return False, None
         *y, t = basis[-1]
-        if self.matvec(y) != [-t * c for c in column]:
+        if self.matvec(y) != [-t * v for v in vec]:
             raise VerificationError("column space certificate fails verification")
-        return True, [Fraction(-v, t * scale) for v in y]
+        return True, (y, t)

@@ -173,7 +173,8 @@ class MatrixRep:
     images[i, j] is the block representing the (i+1, j+1) generator.  The
     n*d x n*d matrix assembled from the blocks must be unitary along with its
     entrywise adjoint; family 'B' blocks must additionally be self-adjoint.
-    Validity is checked by check_relations, not by the constructor.
+    The constructor checks the family, n, d >= 1 and the shape; the
+    relations are checked by check_relations.
     """
 
     family: str
@@ -184,6 +185,8 @@ class MatrixRep:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
+        if self.n < 1 or self.d < 1:
+            raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         images = np.asarray(self.images, dtype=complex)
         if images.shape != (self.n, self.n, self.d, self.d):
             raise ValueError(

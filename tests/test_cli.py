@@ -231,6 +231,25 @@ def test_fullness_negative_max_len_is_usage_error(capsys):
     assert "--max-len" in captured.err
 
 
+def test_fullness_arguments_are_checked_before_any_word_is_enumerated(capsys, monkeypatch):
+    """A block mismatch or a negative length used to surface only after
+    balanced_words(max_len) had run, a wait that doubles with each letter."""
+
+    def no_enumeration(max_len):
+        raise AssertionError(f"balanced_words({max_len}) called before the argument checks")
+
+    monkeypatch.setattr(cli, "balanced_words", no_enumeration)
+    code = main(["fullness", "--max-len", "20", "--n", "5", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: quotient blocks sum to 4, ambient size is 5"]
+    code = main(["fullness", "--max-len", "-1", "--n", "4", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == ["error: --max-len must be >= 0, got -1"]
+
+
 @pytest.mark.parametrize(
     "target,threads",
     [(["--word", "uU"], None), (["--max-len", "4"], None), (["--max-len", "4"], "2")],

@@ -417,6 +417,20 @@ def test_colored_gram_ranks_match_the_closed_form(d_w, d_u):
             assert rank == expected, (word, coloring)
 
 
+def test_invariant_dimension_oracle_matches_the_closed_form():
+    """The Lie-algebra oracle against r(k, n), which shares no computation
+    with it: every word up to length 6, balanced or not, at n = 1, 2, 3 (an
+    unbalanced word has no invariants), and the balanced length-8 words at
+    n = 1, 2."""
+    short = ["".join(w) for length in range(7) for w in itertools.product("uU", repeat=length)]
+    cases = [(word, n) for word in short for n in (1, 2, 3)]
+    cases += [(word, n) for word in balanced_words(8) if len(word) == 8 for n in (1, 2)]
+    for word, n in cases:
+        k = word.count("u")
+        expected = closed_form_rank(k, n) if 2 * k == len(word) else 0
+        assert invariant_dimension_oracle(word, AmbientSpec(n)) == expected, (word, n)
+
+
 def test_nc_rank_values():
     assert nc_rank(parse_word("uUuUuU"), AmbientSpec(2)) == 5
     assert nc_rank(parse_word("uUuUuU"), AmbientSpec(3)) == 5
@@ -585,16 +599,20 @@ def test_in_noncrossing_span_kernel_vectors_pass():
 
 
 def test_in_noncrossing_span_fraction_coefficients():
-    # rational coefficients, as read back from a witness's "p/q" strings
+    # int coefficients, as read back from a witness's JSON strings; a
+    # Fraction, integral or not, is rejected
     word = parse_word("uuUU")
     pairings = enumerate_pairings(word)
     ncs = set(enumerate_noncrossing(word))
     nc_indices = [i for i, p in enumerate(pairings) if p in ncs]
     gram = gram_matrix(pairings, word, AmbientSpec(3))
-    nested = [Fraction(0) if i not in nc_indices else Fraction(-2, 7) for i in range(2)]
-    crossing = [Fraction(5, 3) if i not in nc_indices else Fraction(1, 2) for i in range(2)]
+    nested = [int(s) for s in ("0" if i not in nc_indices else "-2" for i in range(2))]
+    crossing = [int(s) for s in ("10" if i not in nc_indices else "3" for i in range(2))]
     assert in_noncrossing_span(gram, nc_indices, nested)
     assert not in_noncrossing_span(gram, nc_indices, crossing)
+    for rational in (Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            in_noncrossing_span(gram, nc_indices, [rational, 0])
 
 
 def gram_of_columns(columns):
@@ -719,6 +737,9 @@ def test_verify_witness_rejects_non_witnesses():
     assert not verify_witness(word, quotient, solution[0])
     with pytest.raises(ValueError):
         verify_witness(word, quotient, [1, 0, 0])
+    # coefficients are ints, as [int(s) for s in witness] reads them back
+    with pytest.raises(TypeError):
+        verify_witness(word, quotient, [Fraction(1), 0])
 
 
 def test_verdict_json_shape():
@@ -736,6 +757,7 @@ def test_verdict_json_shape():
     }
     from freeqg.coinvariants import FullnessVerdict
 
-    fake = FullnessVerdict(False, 2, (Fraction(1, 2), Fraction(-3)))
+    fake = FullnessVerdict(False, 2, (10**20, -3))
     doc = verdict_json(word, quotient, fake)
-    assert doc["witness"] == ["1/2", "-3"]
+    assert doc["witness"] == ["100000000000000000000", "-3"]
+    assert tuple(int(s) for s in doc["witness"]) == fake.witness

@@ -47,18 +47,31 @@ def test_floats_rejected():
         ExactMatrix([[1.5]])
     with pytest.raises(TypeError):
         ExactMatrix([[1, 2]]).matvec([0.5, 1])
-    # matrices hold integers only; a rational entry is rejected like a float
     with pytest.raises(TypeError):
-        ExactMatrix([[Fraction(1, 3), 1]])
-    m = ExactMatrix([[Fraction(6, 2), 1]])
-    assert type(m.entry(0, 0)) is int and m.entry(0, 0) == 3
-    assert m.matvec([Fraction(1, 3), 1]) == [Fraction(2)]
+        ExactMatrix([[1], [2]]).in_column_space([0.5, 1])
+
+
+@pytest.mark.parametrize("rational", [Fraction(1, 3), Fraction(6, 2), Fraction(0)])
+def test_fractions_rejected_like_floats(rational):
+    """Matrices and vectors hold ints only: a Fraction entry raises
+    TypeError whether or not it is integral."""
+    with pytest.raises(TypeError):
+        ExactMatrix([[rational, 1]])
+    with pytest.raises(TypeError):
+        ExactMatrix([[1, 2]]).matvec([rational, 1])
+    with pytest.raises(TypeError):
+        ExactMatrix([[1], [2]]).in_column_space([rational, 1])
 
 
 def test_bool_entries_are_stored_as_ints():
-    rows = ExactMatrix([[True, 2], [0, False]]).row_list()
+    m = ExactMatrix([[True, 2], [0, False]])
+    rows = m.row_list()
     assert rows == [[1, 2], [0, 0]]
     assert all(type(x) is int for row in rows for x in row)
+    # vectors follow the same rule
+    image = m.matvec([True, False])
+    assert image == [1, 0] and all(type(x) is int for x in image)
+    assert m.in_column_space([True, False]) == (True, ([1, 0], -1))
 
 
 def test_identity_and_zeros():
@@ -305,20 +318,31 @@ def test_left_nullspace():
     assert (row @ m).row_list() == [[0, 0]]
 
 
+def check_solves(m, vec, cert):
+    """cert is the integer certificate (y, t): m @ y == -t * vec, t != 0."""
+    y, t = cert
+    assert all(type(v) is int for v in [*y, t])
+    assert t != 0
+    assert m.matvec(y) == [-t * v for v in vec]
+
+
 def test_in_column_space_certificate():
     m = ExactMatrix([[1, 0], [0, 1], [1, 1]])
     ok, cert = m.in_column_space([2, 3, 5])
     assert ok
-    assert m.matvec(cert) == [2, 3, 5]
+    check_solves(m, [2, 3, 5], cert)
+    assert cert == ([2, 3], -1)
     ok, cert = m.in_column_space([1, 0, 0])
     assert not ok and cert is None
 
 
 def test_in_column_space_fractional_certificate():
+    # the solution (1/2, 1/3) comes as y = (3, 2) over t = -6
     m = ExactMatrix([[2, 0], [0, 3]])
     ok, cert = m.in_column_space([1, 1])
     assert ok
-    assert cert == [Fraction(1, 2), Fraction(1, 3)]
+    check_solves(m, [1, 1], cert)
+    assert cert == ([3, 2], -6)
 
 
 def test_in_column_space_random_consistency():
@@ -331,7 +355,7 @@ def test_in_column_space_random_consistency():
         image = m.matvec(coeffs)
         ok, cert = m.in_column_space(image)
         assert ok
-        assert m.matvec(cert) == image
+        check_solves(m, image, cert)
         outside = [v + (1 if i == 0 else 0) for i, v in enumerate(image)]
         expected = sympy.Matrix(
             [list(r) for r in m.row_list()]
@@ -341,28 +365,30 @@ def test_in_column_space_random_consistency():
 
 def check_certificate(entries, vec):
     """in_column_space agrees with sympy on membership, and its certificate
-    solves the system and is zero at every non-pivot column of the rref."""
+    (y, t) solves m @ y == -t * vec and has y zero at every non-pivot column
+    of the rref."""
     m = ExactMatrix(entries)
     theirs = sympy.Matrix(entries)
-    ok, x = m.in_column_space(vec)
+    ok, cert = m.in_column_space(vec)
     assert ok == (theirs.rank() == theirs.row_join(sympy.Matrix(vec)).rank())
     if ok:
-        assert m.matvec(x) == vec
+        check_solves(m, vec, cert)
         pivots = set(theirs.rref()[1])
-        assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
+        assert all(v == 0 for j, v in enumerate(cert[0]) if j not in pivots)
     else:
-        assert x is None
+        assert cert is None
 
 
 def test_tall_in_column_space_eliminates_the_modular_pivot_rows(monkeypatch):
     m = ExactMatrix([[1, 0], [0, 1], [1, 1], [2, 3]])
     result, seen = eliminated_rows(lambda: m.in_column_space([2, 3, 5, 13]), monkeypatch)
-    assert result == (True, [2, 3])
+    assert result == (True, ([2, 3], -1))
     assert seen == [2]
-    # augmented, this is [[P, 1], [0, 0], [0, 0]]: its modular pivot row suffices
+    # augmented, this is [[P, 1], [0, 0], [0, 0]]: its modular pivot row
+    # suffices, and the solution 1/P comes as y = 1 over t = -P
     m = ExactMatrix([[P], [0], [0]])
     result, seen = eliminated_rows(lambda: m.in_column_space([1, 0, 0]), monkeypatch)
-    assert result == (True, [Fraction(1, P)])
+    assert result == (True, ([1], -P))
     assert seen == [1]
 
 
@@ -371,7 +397,10 @@ def test_in_column_space_where_the_prime_divides_a_minor(entries):
     m = ExactMatrix(entries)
     columns = [list(col) for col in zip(*entries)]
     units = [[int(i == j) for i in range(m.rows)] for j in range(m.rows)]
-    for vec in columns + units + [[Fraction(v, P) for v in col] for col in columns]:
+    # each column over the gcd of its entries; where P divides that gcd,
+    # the solution has P in its denominator
+    reduced = [[v // (gcd(*col) or 1) for v in col] for col in columns]
+    for vec in columns + units + reduced:
         check_certificate(entries, vec)
 
 
@@ -382,19 +411,19 @@ def test_certificates_vanish_off_the_pivot_columns():
         m = ExactMatrix(random_int_matrix(rng, rows, inner, -3, 3)) @ ExactMatrix(
             random_int_matrix(rng, inner, cols, -3, 3)
         )
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-        check_certificate(m.row_list(), m.matvec(coeffs))
+        # an image over the gcd of its entries may need a rational solution
+        image = m.matvec([rng.randint(-4, 4) for _ in range(cols)])
+        check_certificate(m.row_list(), [v // (gcd(*image) or 1) for v in image])
 
 
 def test_zero_row_and_zero_column_edges():
     no_rows = ExactMatrix([], cols=2)
     assert no_rows.rank() == 0
-    assert no_rows.in_column_space([]) == (True, [0, 0])
+    assert no_rows.in_column_space([]) == (True, ([0, 0], 1))
     no_cols = ExactMatrix([[], []])
     assert no_cols.cols == 0
     assert no_cols.rank() == 0
-    ok, cert = no_cols.in_column_space([0, 0])
-    assert ok and cert == []
+    assert no_cols.in_column_space([0, 0]) == (True, ([], 1))
     assert no_cols.in_column_space([1, 0]) == (False, None)
 
 

@@ -485,3 +485,21 @@ def test_matrix_rep_json_roundtrip_shape():
     assert doc["family"] == "A" and doc["n"] == 2 and doc["d"] == 1
     assert doc["images"][0][0] == [[[1.0, 0.0]]]
     assert doc["images"][0][1] == [[[0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "n,d,shape",
+    [(2, 0, (2, 2, 0, 0)), (0, 1, (0, 0, 1, 1)), (0, 0, (0, 0, 0, 0)), (-1, 1, (0, 0, 1, 1))],
+)
+def test_matrix_rep_rejects_empty_sizes(n, d, shape):
+    """A model with n < 1 or d < 1 used to build, and check_relations then
+    failed inside numpy on a zero-size reduction."""
+    for family in "AB":
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            MatrixRep(family, n, d, np.zeros(shape))
+
+
+def test_point_rep_rejects_an_empty_matrix():
+    for build in (point_rep, orthogonal_point_rep):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            build(np.zeros((0, 0)))
