@@ -35,8 +35,6 @@ from .linalg import VerificationError
 from .reps import SeparationStrategy, parse_poly, separate
 from .words import balanced_words, enumerate_noncrossing, enumerate_pairings, orbit_key, parse_word
 
-__all__ = ["main", "entrypoint"]
-
 
 def _worker_count() -> int:
     raw = os.environ.get("QGI_THREADS")

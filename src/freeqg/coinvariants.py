@@ -7,7 +7,7 @@ functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
 size of the block it stays in.  One routine builds every Gram matrix: it
 codes the slot permutation of every pair as an integer, by one numpy matmul
-per block of rows, and walks each distinct code once for its loops;
+per block of rows, and walks the distinct codes for their loops;
 ambient and colored matrices differ only in how they weigh those loops, so
 fullness_system weighs one walk of all pairs for the ambient matrix and
 every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
@@ -43,24 +43,6 @@ from .words import (
     is_block_respecting,
     parse_word,
 )
-
-__all__ = [
-    "DEFAULT_REALIZATION_CAP",
-    "RealizationTooLarge",
-    "AmbientSpec",
-    "QuotientSpec",
-    "FullnessVerdict",
-    "gram_matrix",
-    "gram_matrix_colored",
-    "realize_functional",
-    "invariant_dimension_oracle",
-    "nc_rank",
-    "fullness_system",
-    "in_noncrossing_span",
-    "joint_fullness",
-    "verify_witness",
-    "verdict_json",
-]
 
 DEFAULT_REALIZATION_CAP = 10**7
 
@@ -129,9 +111,10 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
     slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
     matmul (k ** B) @ B.T codes every pair, in int64 below k^k = 2^63 and in
-    object arrays of Python ints above.  Each distinct code is walked and
-    weighed once, then looked up through a table of all k^k codes, or
-    np.unique when there are more codes than entries."""
+    object arrays of Python ints above.  A table of all k^k codes maps each
+    code to its weight, walked and weighed once per call; when there are
+    more codes than entries np.unique does instead, and then each block of
+    rows walks and weighs its own distinct codes."""
     plain = [i for i, letter in enumerate(word, start=1) if letter == "u"]
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
@@ -155,11 +138,8 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     if not m:
         return []
     bits = [1 << pos - 1 for pos in plain]
-    weights = {}
 
     def weigh(code: int):
-        if code in weights:
-            return weights[code]
         sigma, rest = [], code
         for _ in bits:
             rest, s = divmod(rest, k)
@@ -171,8 +151,7 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
                 s = start
                 while sigma[s] >= 0:
                     sigma[s], s = -1, sigma[s]
-        weights[code] = weight(mask)
-        return weights[code]
+        return weight(mask)
 
     size = k**k
     # every partial sum of a code is below size
@@ -354,11 +333,11 @@ def fullness_system(word: str, quotient: QuotientSpec):
     the cokernel of those columns annihilates it.  This is exact because the
     inner product comes from genuine real vectors, hence is positive
     semidefinite on the span.  Each cokernel vector y of a colored Gram
-    matrix G_c gives the row G_c @ y, scattered to pairing coordinates and
-    kept at its first occurrence.  Colorings without a block-respecting
-    pairing constrain nothing, so only block-balanced ones are visited, in
-    enumerate_colorings order, and each distinct colored subproblem (G_c and
-    its non-crossing positions) is solved once per call.
+    matrix G_c gives the row G_c @ y, scattered to pairing coordinates.
+    Colorings without a block-respecting pairing constrain nothing, so only
+    block-balanced ones are visited, and each distinct colored subproblem
+    (G_c and its non-crossing positions) is solved once per call.  Only the
+    kernel of the constraints is read, so the order of their rows is free.
     """
     pairings = enumerate_pairings(word)
     nc_set = set(enumerate_noncrossing(word))
@@ -371,7 +350,7 @@ def fullness_system(word: str, quotient: QuotientSpec):
         [[n ** m.bit_count() for m in row] for row in masks], len(pairings)
     )
     # a pairing respects exactly the colorings whose W slots (bit pos - 1) are
-    # a union of its arcs; the sort below is enumerate_colorings order
+    # a union of its arcs
     selections: dict[int, list[int]] = {}
     for i, p in enumerate(pairings):
         unions = [0]
@@ -381,9 +360,8 @@ def fullness_system(word: str, quotient: QuotientSpec):
             selections.setdefault(wmask, []).append(i)
     loop_masks = set(itertools.chain.from_iterable(masks))
     solved = {}  # (colored rows, nc_local) -> compact rows G_c @ y
-    constraint_rows = {}  # each distinct row once, in first-occurrence order
-    for wmask in sorted(selections, key=lambda m: [~m >> s & 1 for s in range(len(word))]):
-        sel = selections[wmask]
+    constraint_rows = {}  # each distinct row once
+    for wmask, sel in selections.items():
         weight = dict(zip(loop_masks, map(_colored_weight(wmask, quotient), loop_masks)))
         colored = tuple(tuple([weight[masks[a][b]] for b in sel]) for a in sel)
         key = colored, tuple(k for k, i in enumerate(sel) if i in nc_index_set)

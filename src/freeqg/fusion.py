@@ -5,20 +5,12 @@ splitting off a suffix of the left word that cancels, as a star-reversed
 mirror, against a prefix of the right word.  Dimensions follow a two-term
 recursion in the ambient size n and grow like Chebyshev polynomials.  Words
 are plain strings over 'u'/'U', checked by words.parse_word, and a fusion
-vector is a plain dict from word to a positive multiplicity.
+vector is a plain dict from word to a positive int multiplicity.
 """
 
 from __future__ import annotations
 
 from .words import parse_word
-
-__all__ = [
-    "star_reverse",
-    "fuse",
-    "fuse_vectors",
-    "trivial_multiplicity",
-    "dimension",
-]
 
 
 def star_reverse(word: str) -> str:
@@ -46,11 +38,13 @@ def fuse(x: str, y: str) -> dict[str, int]:
 def fuse_vectors(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
     """Bilinear extension of fuse to fusion vectors.
 
-    Keys must be words and multiplicities nonnegative; a zero multiplicity
+    Keys must be words and multiplicities nonnegative ints; a zero multiplicity
     adds nothing, and the result holds no zero entry.
     """
     for word, mult in [*left.items(), *right.items()]:
         parse_word(word)
+        if type(mult) is not int:
+            raise TypeError(f"multiplicity of {word!r} must be an int, got {mult!r}")
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult} for {word!r}")
     terms: dict[str, int] = {}
@@ -78,8 +72,10 @@ def dimension(word: str, n: int) -> int:
 
     Appending a letter multiplies the dimension by n, minus the dimension of
     the shorter word whenever the new letter cancels against the previous one.
-    The recursion produces positive values only for n >= 2.
+    n must be an int; the recursion produces positive values only for n >= 2.
     """
+    if type(n) is not int:
+        raise TypeError(f"ambient size must be an int, got {n!r}")
     if n < 2:
         raise ValueError("dimension recursion needs n >= 2")
     prev, cur = 0, 1

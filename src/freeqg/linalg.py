@@ -31,8 +31,6 @@ from operator import mul
 
 import numpy as np
 
-__all__ = ["ExactMatrix", "VerificationError"]
-
 _P = (1 << 31) - 1
 
 

@@ -21,28 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "PolyParseError",
-    "Gen",
-    "NCPoly",
-    "MatrixRep",
-    "RelationReport",
-    "SeparationStrategy",
-    "SeparationWitness",
-    "parse_poly",
-    "evaluate",
-    "operator_norm",
-    "check_relations",
-    "point_rep",
-    "orthogonal_point_rep",
-    "free_product_rep",
-    "block_rep",
-    "lift_b_to_a",
-    "haar_unitary",
-    "haar_orthogonal",
-    "separate",
-]
-
 _UNITARY_INPUT_TOL = 1e-12
 
 # the lexical layer of the polynomial grammar: one token after optional
@@ -51,6 +29,14 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sign>[+-])|(?P<gen>[uv]\d\d'?)|(?P<imag>i)"
     r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))"
 )
+
+
+def _require_ints(**sizes) -> None:
+    """Sizes are plain ints, by the rule of coinvariants.AmbientSpec: any
+    other type, bool, float and str included, raises TypeError."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class PolyParseError(ValueError):
@@ -85,6 +71,7 @@ class NCPoly:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
+        _require_ints(n=self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -103,6 +90,7 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     """
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    _require_ints(n=n)
     if not 1 <= n <= 9:
         raise ValueError(f"n must be between 1 and 9, got {n}")
     letter = "u" if family == "A" else "v"
@@ -173,8 +161,8 @@ class MatrixRep:
     images[i, j] is the block representing the (i+1, j+1) generator.  The
     n*d x n*d matrix assembled from the blocks must be unitary along with its
     entrywise adjoint; family 'B' blocks must additionally be self-adjoint.
-    The constructor checks the family, n, d >= 1 and the shape; the
-    relations are checked by check_relations.
+    The constructor checks the family, that n and d are ints >= 1 and the
+    shape; the relations are checked by check_relations.
     """
 
     family: str
@@ -185,6 +173,7 @@ class MatrixRep:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
+        _require_ints(n=self.n, d=self.d)
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         images = np.asarray(self.images, dtype=complex)
@@ -464,6 +453,7 @@ class SeparationStrategy:
     def __post_init__(self):
         if self.kind not in ("point", "freeproduct", "block", "lift"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        _require_ints(d=self.d)
         if self.d < 1:
             raise ValueError("strategy dimension must be >= 1")
 

@@ -19,20 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-__all__ = [
-    "Pairing",
-    "WordParseError",
-    "parse_word",
-    "enumerate_pairings",
-    "is_noncrossing",
-    "enumerate_noncrossing",
-    "enumerate_colorings",
-    "is_block_respecting",
-    "loop_decomposition",
-    "balanced_words",
-    "orbit_key",
-]
-
 
 class WordParseError(ValueError):
     """Invalid character in a word string; position is 1-based."""

@@ -41,6 +41,16 @@ def test_fuse_vectors_validation():
     assert fuse_vectors({parse_word("u"): 2}, unit) == {parse_word("u"): 2}
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.0, float("nan"), True, "1"])
+def test_fuse_vectors_multiplicities_are_ints(mult):
+    """A float multiplicity used to fuse to a float, and a NaN one passed the
+    sign check and came back as NaN."""
+    with pytest.raises(TypeError, match="must be an int"):
+        fuse_vectors({"uU": mult}, {"Uu": 2})
+    with pytest.raises(TypeError, match="must be an int"):
+        fuse_vectors({"uU": 1}, {"Uu": mult})
+
+
 def test_fuse_frozen_examples():
     assert fuse(parse_word("u"), parse_word("U")) == {"": 1, parse_word("uU"): 1}
     assert fuse(parse_word("u"), parse_word("u")) == {parse_word("uu"): 1}
@@ -105,6 +115,13 @@ def test_dimension_frozen_values():
 def test_dimension_needs_n_at_least_two():
     with pytest.raises(ValueError):
         dimension(parse_word("u"), 1)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_dimension_needs_an_int(n):
+    """dimension("uU", 2.5) used to return 5.25."""
+    with pytest.raises(TypeError, match="ambient size must be an int"):
+        dimension(parse_word("uU"), n)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -503,3 +503,28 @@ def test_point_rep_rejects_an_empty_matrix():
     for build in (point_rep, orthogonal_point_rep):
         with pytest.raises(ValueError, match="n and d must be >= 1"):
             build(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n,d", [(2.0, 1), (2, True), (np.int64(2), 1), ("2", 1)])
+def test_matrix_rep_rejects_sizes_that_are_not_ints(n, d):
+    """A float n used to build, and check_relations then failed inside numpy;
+    a bool d built as d = 1."""
+    with pytest.raises(TypeError, match="must be an int"):
+        MatrixRep("A", n, d, np.eye(2).reshape(2, 2, 1, 1))
+
+
+@pytest.mark.parametrize("d", [2.0, "2", True])
+def test_strategy_rejects_a_dimension_that_is_not_an_int(d):
+    """A float d used to fail inside numpy at the first draw, and a string d
+    on a comparison with 1."""
+    with pytest.raises(TypeError, match="d must be an int"):
+        SeparationStrategy("freeproduct", d)
+
+
+@pytest.mark.parametrize("n", [2.0, "2", True])
+def test_polynomials_reject_a_size_that_is_not_an_int(n):
+    """A float n used to parse, and separate then failed inside numpy."""
+    with pytest.raises(TypeError, match="n must be an int"):
+        parse_poly("u11 u12 - u12 u11", n, "A")
+    with pytest.raises(TypeError, match="n must be an int"):
+        reps.NCPoly("A", n, ())
