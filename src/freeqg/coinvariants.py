@@ -29,6 +29,7 @@ by literal dot products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import mul
@@ -42,6 +43,7 @@ from .words import (
     enumerate_pairings,
     is_block_respecting,
     parse_word,
+    require_ints,
 )
 
 DEFAULT_REALIZATION_CAP = 10**7
@@ -59,8 +61,7 @@ class AmbientSpec:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"ambient size must be an int, got {self.n!r}")
+        require_ints(n=self.n)
         if self.n < 1:
             raise ValueError("ambient size must be >= 1")
 
@@ -74,8 +75,7 @@ class QuotientSpec:
     d_u: int
 
     def __post_init__(self):
-        if type(self.d_w) is not int or type(self.d_u) is not int:
-            raise TypeError(f"block sizes must be ints, got {self.d_w!r} and {self.d_u!r}")
+        require_ints(d_w=self.d_w, d_u=self.d_u)
         if self.d_w < 1 or self.d_u < 1:
             raise ValueError("both block sizes must be >= 1")
 
@@ -111,10 +111,10 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
     slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
     matmul (k ** B) @ B.T codes every pair, in int64 below k^k = 2^63 and in
-    object arrays of Python ints above.  A table of all k^k codes maps each
-    code to its weight, walked and weighed once per call; when there are
-    more codes than entries np.unique does instead, and then each block of
-    rows walks and weighs its own distinct codes."""
+    object arrays of Python ints above.  Each distinct code is walked and
+    weighed once per call, as weigh is cached across blocks of rows; a
+    block finds its codes in a table of all k^k codes or, when there are
+    more codes than entries, by np.unique."""
     plain = [i for i, letter in enumerate(word, start=1) if letter == "u"]
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
@@ -139,6 +139,7 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
         return []
     bits = [1 << pos - 1 for pos in plain]
 
+    @functools.cache
     def weigh(code: int):
         sigma, rest = [], code
         for _ in bits:
@@ -160,17 +161,15 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     step = max(1, _BLOCK_ENTRIES // m)
     dense = size <= m * m
     if dense:
-        table = np.empty(size, dtype=object)  # None until weighed
+        table = np.empty(size, dtype=object)
     rows = []
     for lo in range(0, m, step):
         codes = powers[lo:lo + step] @ bt
         if dense:
             hit = np.zeros(size, dtype=bool)
             hit[codes] = True
-            new = hit.nonzero()[0]
-            if lo:  # drop the codes that earlier blocks weighed
-                new = new[np.equal(table[new], None)]
-            table[new] = list(map(weigh, new.tolist()))
+            met = hit.nonzero()[0]
+            table[met] = list(map(weigh, met.tolist()))
             ids = codes
         else:
             distinct, ids = np.unique(codes, return_inverse=True)

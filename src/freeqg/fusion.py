@@ -10,7 +10,7 @@ vector is a plain dict from word to a positive int multiplicity.
 
 from __future__ import annotations
 
-from .words import parse_word
+from .words import parse_word, require_ints
 
 
 def star_reverse(word: str) -> str:
@@ -43,8 +43,7 @@ def fuse_vectors(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
     """
     for word, mult in [*left.items(), *right.items()]:
         parse_word(word)
-        if type(mult) is not int:
-            raise TypeError(f"multiplicity of {word!r} must be an int, got {mult!r}")
+        require_ints(**{f"multiplicity of {word!r}": mult})
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult} for {word!r}")
     terms: dict[str, int] = {}
@@ -74,8 +73,7 @@ def dimension(word: str, n: int) -> int:
     the shorter word whenever the new letter cancels against the previous one.
     n must be an int; the recursion produces positive values only for n >= 2.
     """
-    if type(n) is not int:
-        raise TypeError(f"ambient size must be an int, got {n!r}")
+    require_ints(n=n)
     if n < 2:
         raise ValueError("dimension recursion needs n >= 2")
     prev, cur = 0, 1

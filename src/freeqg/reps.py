@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .words import require_ints
+
 _UNITARY_INPUT_TOL = 1e-12
 
 # the lexical layer of the polynomial grammar: one token after optional
@@ -29,14 +31,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sign>[+-])|(?P<gen>[uv]\d\d'?)|(?P<imag>i)"
     r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))"
 )
-
-
-def _require_ints(**sizes) -> None:
-    """Sizes are plain ints, by the rule of coinvariants.AmbientSpec: any
-    other type, bool, float and str included, raises TypeError."""
-    for name, value in sizes.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class PolyParseError(ValueError):
@@ -71,7 +65,7 @@ class NCPoly:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        _require_ints(n=self.n)
+        require_ints(n=self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -90,7 +84,7 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     """
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    _require_ints(n=n)
+    require_ints(n=n)
     if not 1 <= n <= 9:
         raise ValueError(f"n must be between 1 and 9, got {n}")
     letter = "u" if family == "A" else "v"
@@ -173,7 +167,7 @@ class MatrixRep:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        _require_ints(n=self.n, d=self.d)
+        require_ints(n=self.n, d=self.d)
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         images = np.asarray(self.images, dtype=complex)
@@ -453,7 +447,7 @@ class SeparationStrategy:
     def __post_init__(self):
         if self.kind not in ("point", "freeproduct", "block", "lift"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        _require_ints(d=self.d)
+        require_ints(d=self.d)
         if self.d < 1:
             raise ValueError("strategy dimension must be >= 1")
 

@@ -9,6 +9,7 @@ when no two arcs intersect.  Overlaying two pairings cuts the positions into
 closed loops, and loop counts are the exponents in every Gram matrix entry
 downstream.  For a splitting V = W + U, a coloring is a plain string over
 'W'/'U' naming the block of each slot, in memory as in JSON.
+require_ints checks the plain-int sizes that every module takes.
 
 Positions are 1-based throughout, matching the diagrams and the JSON
 serialization ``{"arcs": [[1, 2], ...]}``.
@@ -39,6 +40,14 @@ def parse_word(text: str) -> str:
     if rest:
         raise WordParseError(rest[0], len(text) - len(rest) + 1)
     return text
+
+
+def require_ints(**sizes) -> None:
+    """Sizes and multiplicities are plain ints: any other type, bool, float
+    and str included, raises TypeError naming the argument."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -288,8 +288,8 @@ def test_gram_of_all_length_12_pairings():
 
 def test_gram_of_noncrossing_pairings_across_row_blocks():
     """The 429 non-crossing pairings of (uU)^7 have fewer entries than 7^7
-    codes, so their ids come from np.unique, block by block, and each block
-    weighs its own codes.  All 184,041 entries against the loop count."""
+    codes, so their ids come from np.unique, block by block.  All 184,041
+    entries against the loop count."""
     word = parse_word("uU" * 7)
     pairings = enumerate_noncrossing(word)
     assert 7**7 > len(pairings) ** 2 > 4 * coinvariants._BLOCK_ENTRIES
@@ -297,6 +297,22 @@ def test_gram_of_noncrossing_pairings_across_row_blocks():
     for i, p in enumerate(pairings):
         for j, q in enumerate(pairings):
             assert gram[i][j] == 2 ** len(loop_decomposition(p, q)), (i, j)
+
+
+@pytest.mark.parametrize(
+    "text, enumerate_", [("uU" * 7, enumerate_noncrossing), ("uuUuUUuUuUuU", enumerate_pairings)]
+)
+def test_loop_gram_weighs_each_code_once_across_row_blocks(text, enumerate_):
+    """The 429 non-crossing pairings of (uU)^7 fill six row blocks of the
+    np.unique path, the 720 pairings of a length-12 word 16 blocks of the
+    table path, and the pairs of each code all k! slot permutations; each
+    code is weighed once per call, not once in every block that meets it."""
+    word = parse_word(text)
+    pairings = enumerate_(word)
+    assert len(pairings) ** 2 > 4 * coinvariants._BLOCK_ENTRIES
+    masks = []
+    coinvariants._loop_gram(pairings, word, lambda mask: masks.append(mask) or 0)
+    assert len(masks) == math.factorial(len(word) // 2)
 
 
 def test_gram_of_noncrossing_pairings_takes_the_unique_branch():

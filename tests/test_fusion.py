@@ -120,7 +120,7 @@ def test_dimension_needs_n_at_least_two():
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
 def test_dimension_needs_an_int(n):
     """dimension("uU", 2.5) used to return 5.25."""
-    with pytest.raises(TypeError, match="ambient size must be an int"):
+    with pytest.raises(TypeError, match="n must be an int"):
         dimension(parse_word("uU"), n)
 
 
