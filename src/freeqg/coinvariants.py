@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
 
@@ -249,9 +250,9 @@ def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
     units, V* slots the negated transpose.  The diagonal units act diagonally,
     so their joint kernel is the coordinate subspace of multi-indices whose V
     and V* slots carry every symbol equally often.  On that subspace the
-    off-diagonal units are stacked into a single positive semidefinite integer
-    matrix; x is annihilated by all of them iff x^T M x = 0 iff M x = 0, so
-    the answer is the nullity of M, computed exactly.
+    off-diagonal units are stacked into one integer matrix A, one row per
+    unit and output multi-index, so the answer is the nullity of A, read off
+    its exact kernel.
     """
     n = ambient.n
     length = len(parse_word(word))
@@ -267,17 +268,15 @@ def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
             counts[v] += 1 if letter == "u" else -1
         if not any(counts):
             balanced_idx.append(idx)
-    if not balanced_idx:
-        return 0
     m = len(balanced_idx)
-    psd = [[0] * m for _ in range(m)]
+    rows = []
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
-            # sparse columns of the unit E_ab acting slot by slot, indexed by
-            # output multi-index in the full coordinate space
-            columns: dict[tuple[int, ...], dict[int, int]] = {}
+            # rows of the unit E_ab acting slot by slot, one per output
+            # multi-index in the full coordinate space
+            unit_rows = defaultdict(lambda: [0] * m)
             for j, idx in enumerate(balanced_idx):
                 for s, (letter, v) in enumerate(zip(word, idx)):
                     if letter == "u" and v == b:
@@ -288,15 +287,9 @@ def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
                         coeff = -1
                     else:
                         continue
-                    col = columns.setdefault(out, {})
-                    col[j] = col.get(j, 0) + coeff
-            for col in columns.values():
-                items = list(col.items())
-                for j1, c1 in items:
-                    row = psd[j1]
-                    for j2, c2 in items:
-                        row[j2] += c1 * c2
-    return m - ExactMatrix(psd, cols=m).rank()
+                    unit_rows[out][j] += coeff
+            rows += unit_rows.values()
+    return len(ExactMatrix._of_int_rows(rows, m).nullspace_basis())
 
 
 def nc_rank(word: str, ambient: AmbientSpec) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 from .words import require_ints
 
 _UNITARY_INPUT_TOL = 1e-12
+_RELATION_TOL = 1e-10  # check_relations' default, and the lift's one tolerance
 
 # the lexical layer of the polynomial grammar: one token after optional
 # whitespace; no match at a non-space character is a lexical error
@@ -152,31 +153,34 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
 class MatrixRep:
     """Images of one generator family as d x d blocks.
 
-    images[i, j] is the block representing the (i+1, j+1) generator.  The
+    images[i, j] is the block representing the (i+1, j+1) generator, and the
+    sizes n and d are read off the shape (n, n, d, d) of images.  The
     n*d x n*d matrix assembled from the blocks must be unitary along with its
     entrywise adjoint; family 'B' blocks must additionally be self-adjoint.
-    The constructor checks the family, that n and d are ints >= 1 and the
-    shape; the relations are checked by check_relations.
+    The constructor checks the family and that the shape is (n, n, d, d)
+    with n, d >= 1; the relations are checked by check_relations.
     """
 
     family: str
-    n: int
-    d: int
     images: np.ndarray
 
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        require_ints(n=self.n, d=self.d)
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         images = np.asarray(self.images, dtype=complex)
-        if images.shape != (self.n, self.n, self.d, self.d):
-            raise ValueError(
-                f"images shape {images.shape} does not match (n, n, d, d)"
-                f" = {(self.n, self.n, self.d, self.d)}"
-            )
         object.__setattr__(self, "images", images)
+        if images.ndim != 4 or images.shape != (self.n, self.n, self.d, self.d) or not images.size:
+            raise ValueError(
+                f"images must have shape (n, n, d, d) with n, d >= 1, got {images.shape}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.images.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.images.shape[2]
 
     def big_matrix(self, entrywise_adjoint: bool = False) -> np.ndarray:
         """The n*d x n*d block matrix; with entrywise_adjoint, each block is
@@ -254,7 +258,7 @@ def _relation_gaps(rep: MatrixRep) -> list[np.ndarray]:
     return stacks
 
 
-def check_relations(rep: MatrixRep, tol: float = 1e-10) -> RelationReport:
+def check_relations(rep: MatrixRep, tol: float = _RELATION_TOL) -> RelationReport:
     """Residuals of unitarity for the big matrix and its entrywise adjoint,
     plus block self-adjointness for family 'B'."""
     gaps, *skew = _relation_gaps(rep)
@@ -273,11 +277,11 @@ def _unsettled_norms(stack: np.ndarray, tol: float) -> list[float]:
     return [operator_norm(x) for x in mats]
 
 
-def _require_relations(rep: MatrixRep, tol: float, what: str) -> None:
-    """Raise unless check_relations(rep, tol) passes, quoting its worst residual."""
-    norms = [x for stack in _relation_gaps(rep) for x in _unsettled_norms(stack, tol)]
+def _require_relations(rep: MatrixRep, what: str) -> None:
+    """Raise unless check_relations(rep) passes, quoting its worst residual."""
+    norms = [x for s in _relation_gaps(rep) for x in _unsettled_norms(s, _RELATION_TOL)]
     worst = float(np.max(norms, initial=0.0))
-    if not worst <= tol:
+    if not worst <= _RELATION_TOL:
         raise ValueError(
             f"{what} fails family {rep.family!r} relations: worst residual {worst:.3e}"
         )
@@ -285,10 +289,11 @@ def _require_relations(rep: MatrixRep, tol: float, what: str) -> None:
 
 def _require_unitary(mat, what: str, ndim: int = 2) -> np.ndarray:
     """mat as a complex unitary matrix, or with ndim = 3 a stack of them;
-    what.format(k) names the first failing matrix k."""
+    what.format("stack") names a stack and what.format(k) its matrix k."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"{what} must be a square matrix")
+        wanted = "(n, n)" if ndim == 2 else "(m, n, n)"
+        raise ValueError(f"{what.format('stack')} must have shape {wanted}, got {mat.shape}")
     with np.errstate(invalid="ignore"):  # an inf entry gives a NaN gap, which fails
         gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
     for k, residual in enumerate(_unsettled_norms(gap, _UNITARY_INPUT_TOL)):
@@ -304,8 +309,7 @@ def point_rep(w) -> MatrixRep:
     """One-dimensional model sending each generator to the matching scalar
     entry of a fixed unitary matrix."""
     w = _require_unitary(w, "point matrix")
-    n = w.shape[0]
-    return MatrixRep("A", n, 1, w.reshape(n, n, 1, 1))
+    return MatrixRep("A", w[:, :, None, None])
 
 
 def orthogonal_point_rep(o) -> MatrixRep:
@@ -314,32 +318,28 @@ def orthogonal_point_rep(o) -> MatrixRep:
     if np.iscomplexobj(o) and np.abs(o.imag).max(initial=0.0) > 0:
         raise ValueError("orthogonal point matrix must be real")
     o = _require_unitary(o.real if np.iscomplexobj(o) else o, "orthogonal point matrix")
-    n = o.shape[0]
-    return MatrixRep("B", n, 1, o.reshape(n, n, 1, 1))
+    return MatrixRep("B", o[:, :, None, None])
 
 
-def free_product_rep(unitary, points, n: int) -> MatrixRep:
+def free_product_rep(unitary, points) -> MatrixRep:
     """Model u_ij -> T . D_ij with D_ij diagonal over a family of point matrices.
 
-    points is a list or stack of m unitaries of size n; T has size d, a
-    multiple of m; D_ij repeats each point's (i, j) entry on a contiguous run
-    of d/m diagonal slots.  With m = d every slot carries its own point matrix.
+    points is a list or stack of m unitaries, all of the model's size n; T
+    has size d, a multiple of m; D_ij repeats each point's (i, j) entry on
+    a contiguous run of d/m diagonal slots, one point per slot when m = d.
     """
     twist = _require_unitary(unitary, "twisting unitary")
     d = twist.shape[0]
     if not len(points):
         raise ValueError("need at least one point matrix")
-    for p in points:
-        if np.shape(p) != (n, n):
-            raise ValueError(f"point matrices must have size {n}, got {np.shape(p)}")
     points = _require_unitary(points, "point matrix {}", ndim=3)
-    m = len(points)
+    m, n = points.shape[:2]
     if d % m:
         raise ValueError(f"dimension {d} is not a multiple of the {m} point matrices")
     slots = np.arange(d)
     diagonals = np.zeros((n, n, d, d), dtype=complex)
     diagonals[:, :, slots, slots] = np.repeat(np.moveaxis(points, 0, -1), d // m, axis=-1)
-    return MatrixRep("A", n, d, twist @ diagonals)
+    return MatrixRep("A", twist @ diagonals)
 
 
 def block_rep(first: MatrixRep, second: MatrixRep) -> MatrixRep:
@@ -351,29 +351,26 @@ def block_rep(first: MatrixRep, second: MatrixRep) -> MatrixRep:
     if first.family != second.family:
         raise ValueError("cannot join representations of different families")
     if first.d != second.d:
-        raise ValueError(
-            f"block dimensions differ: {first.d} vs {second.d}"
-        )
-    n = first.n + second.n
-    d = first.d
+        raise ValueError(f"block dimensions differ: {first.d} vs {second.d}")
+    n, d = first.n + second.n, first.d
     images = np.zeros((n, n, d, d), dtype=complex)
     images[: first.n, : first.n] = first.images
     images[first.n :, first.n :] = second.images
-    return MatrixRep(first.family, n, d, images)
+    return MatrixRep(first.family, images)
 
 
-def lift_b_to_a(unitary, brep: MatrixRep, tol: float = 1e-10) -> MatrixRep:
+def lift_b_to_a(unitary, brep: MatrixRep) -> MatrixRep:
     """Compose a self-adjoint family with one extra unitary: u_ij -> T . v_ij.
 
-    brep must pass the family 'B' relations at the given tolerance.  The
-    block sizes of T and brep must agree, except that either side may be
-    scalar (d = 1) and is then broadcast.  The result is checked against the
-    family 'A' relations at the same tolerance; failures raise.
+    brep must pass the family 'B' relations at check_relations' default
+    tolerance.  The block sizes of T and brep must agree, except that either
+    side may be scalar (d = 1) and is then broadcast.  The result is checked
+    against the family 'A' relations at the same tolerance; failures raise.
     """
     twist = _require_unitary(unitary, "twisting unitary")
     if brep.family != "B":
         raise ValueError("lift needs a family 'B' representation")
-    _require_relations(brep, tol, "input")
+    _require_relations(brep, "input")
     dt = twist.shape[0]
     if brep.d == dt:
         images = np.einsum("ab,ijbc->ijac", twist, brep.images)
@@ -381,8 +378,8 @@ def lift_b_to_a(unitary, brep: MatrixRep, tol: float = 1e-10) -> MatrixRep:
         images = brep.images * twist
     else:
         raise ValueError(f"dimension mismatch: unitary is {dt}, representation is {brep.d}")
-    lifted = MatrixRep("A", brep.n, max(dt, brep.d), images)
-    _require_relations(lifted, tol, "lifted representation")
+    lifted = MatrixRep("A", images)
+    _require_relations(lifted, "lifted representation")
     return lifted
 
 
@@ -410,6 +407,7 @@ def evaluate(poly: NCPoly, rep: MatrixRep) -> np.ndarray:
 def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """count Haar unitaries of size dim, bit for bit those of count successive
     haar_unitary calls: each real Gaussian block precedes its imaginary one."""
+    require_ints(dim=dim)
     gauss = rng.standard_normal((count, 2, dim, dim))
     q, r = np.linalg.qr((gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -424,6 +422,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed real orthogonal matrix: QR with sign fixing."""
+    require_ints(dim=dim)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     signs = np.sign(np.diagonal(r))
     return q * np.where(signs == 0, 1.0, signs)
@@ -470,7 +469,7 @@ class SeparationStrategy:
 
     def _free_product(self, n: int, rng: np.random.Generator) -> MatrixRep:
         twist = haar_unitary(self.d, rng)
-        return free_product_rep(twist, _haar_unitaries(self.d, n, rng), n)
+        return free_product_rep(twist, _haar_unitaries(self.d, n, rng))
 
 
 @dataclass(frozen=True)
@@ -495,12 +494,13 @@ def separate(
     trial replays in isolation.  The first trial whose evaluated polynomial
     has operator norm above tol wins; None means every trial stayed at or
     below the tolerance; only a value with Frobenius norm above tol/2 takes
-    an SVD.  A negative or non-finite tol, a negative trial count or a
-    negative seed raises ValueError, and so does a trial whose value
-    overflows to a norm that is not finite.
+    an SVD.  A trial count or seed that is not an int raises TypeError; a
+    negative or non-finite tol, a negative trial count or a negative seed
+    raises ValueError, and so does a trial whose value overflows.
     """
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    require_ints(trials=trials, seed=seed)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if seed < 0:

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from freeqg import cli
+from freeqg import cli, coinvariants
 from freeqg.cli import main
 from freeqg.coinvariants import QuotientSpec, joint_fullness, verdict_json
 from freeqg.linalg import ExactMatrix
@@ -154,6 +154,57 @@ def test_failing_orbit_is_decided_word_by_word(capsys, monkeypatch):
         else:
             assert v["holds"] is True
             assert v["witness"] is None
+
+
+def _keep_three_noncrossing_of_uUuUuU(monkeypatch):
+    """Hide two of the five non-crossing pairings of uUuUuU from coinvariants,
+    keeping those at indices 1, 2 and 4: the constraints then admit a
+    functional outside the smaller non-crossing span, a real failing input."""
+    enumerate_all = coinvariants.enumerate_noncrossing
+
+    def fewer(word):
+        pairings = enumerate_all(word)
+        return [pairings[i] for i in (1, 2, 4)] if word == "uUuUuU" else pairings
+
+    monkeypatch.setattr(coinvariants, "enumerate_noncrossing", fewer)
+    assert [p.arcs for p in fewer("uUuUuU")] == [
+        ((1, 2), (3, 6), (4, 5)),
+        ((1, 4), (2, 3), (5, 6)),
+        ((1, 6), (2, 5), (3, 4)),
+    ]
+
+
+def test_joint_fullness_fails_with_a_verified_witness(monkeypatch):
+    _keep_three_noncrossing_of_uUuUuU(monkeypatch)
+    quotient = QuotientSpec(1, 1)
+    verdict = joint_fullness("uUuUuU", quotient)
+    assert verdict.holds is False
+    assert verdict.solution_space_dim == 6
+    assert verdict.witness == (1, 0, 0, 0, 0, 0)
+    assert coinvariants.verify_witness("uUuUuU", quotient, verdict.witness)
+    assert joint_fullness("UuUuUu", quotient).holds is True
+
+
+def test_a_failing_verdict_exits_1_and_its_orbit_is_decided_word_by_word(capsys, monkeypatch):
+    _keep_three_noncrossing_of_uUuUuU(monkeypatch)
+    monkeypatch.delenv("QGI_THREADS", raising=False)
+    argv = ["fullness", "--word", "uUuUuU", "--n", "2", "--dw", "1", "--du", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 1
+    jsonschema.validate(report["result"], load_schema("fullness_result.schema.json"))
+    assert report["result"]["all_hold"] is False
+    verdict = report["result"]["verdicts"][0]
+    assert verdict["holds"] is False and verdict["solution_dim"] == 6
+    assert verdict["witness"] == ["1", "0", "0", "0", "0", "0"]
+    code, _ = run_json(capsys, argv + ["--explore"])
+    assert code == 0
+    argv = ["fullness", "--max-len", "6", "--n", "2", "--dw", "1", "--du", "1", "--format", "csv"]
+    code = main(argv)
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "uUuUuU,2,1,1,false,6" in rows
+    assert "UuUuUu,2,1,1,true,6" in rows
+    assert sum(row.endswith(",false,6") for row in rows) == 1
 
 
 def test_failed_self_check_exits_3(capsys, monkeypatch):

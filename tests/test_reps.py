@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_valid_inputs_and_settled_trials_run_no_svd(monkeypatch):
     rng = np.random.default_rng(21)
     brep = orthogonal_point_rep(haar_orthogonal(3, rng))
     assert lift_b_to_a(haar_unitary(4, rng), brep).d == 4
-    free_product_rep(haar_unitary(4, rng), [haar_unitary(3, rng) for _ in range(4)], 3)
+    free_product_rep(haar_unitary(4, rng), [haar_unitary(3, rng) for _ in range(4)])
     for kind in ("point", "freeproduct", "block", "lift"):
         SeparationStrategy(kind, 4).draw(4, "A", rng)
     # the commutator vanishes exactly on point models
@@ -167,16 +169,19 @@ def test_frobenius_above_half_tol_falls_back_to_svd(monkeypatch):
     assert witness.norm == norm and len(calls) == 2
     # four relation gaps of about 2e-11 * I: their joint Frobenius norm, about
     # 9e-11, exceeds tol/2 = 5e-11, and each operator norm stays below 1e-10
-    o = haar_orthogonal(5, np.random.default_rng(8)) * np.sqrt(1 + 2e-11)
-    brep = MatrixRep("B", 5, 1, o.reshape(5, 5, 1, 1))
+    o = haar_orthogonal(5, np.random.default_rng(8))
+    brep = MatrixRep("B", (o * np.sqrt(1 + 2e-11)).reshape(5, 5, 1, 1))
     assert 0 < check_relations(brep).max_residual <= 1e-10
     calls.clear()
     assert lift_b_to_a(np.eye(2), brep).d == 2
     assert calls
+    # gaps of about 2e-10 * I exceed the lift's tolerance 1e-10
+    brep = MatrixRep("B", (o * np.sqrt(1 + 2e-10)).reshape(5, 5, 1, 1))
     with pytest.raises(ValueError) as err:
-        lift_b_to_a(np.eye(2), brep, tol=1e-11)
+        lift_b_to_a(np.eye(2), brep)
     worst = check_relations(brep).max_residual
     assert str(err.value) == f"input fails family 'B' relations: worst residual {worst:.3e}"
+    assert str(err.value) == "input fails family 'B' relations: worst residual 2.000e-10"
 
 
 def test_tiny_tolerances_skip_the_frobenius_bound():
@@ -197,12 +202,12 @@ def test_non_finite_inputs_fail_with_documented_messages(bad):
         point_rep(np.full((2, 2), bad))
     points = [haar_unitary(2, rng), np.full((2, 2), bad)]
     with pytest.raises(ValueError, match=r"^point matrix 1 is not unitary: residual nan"):
-        free_product_rep(np.eye(2), points, 2)
+        free_product_rep(np.eye(2), points)
     brep = orthogonal_point_rep(haar_orthogonal(2, rng))
     twist = np.array([[bad, 0], [0, 1]])
     with pytest.raises(ValueError, match=r"^twisting unitary is not unitary: residual nan"):
         lift_b_to_a(twist, brep)
-    broken = MatrixRep("B", 2, 1, np.full((2, 2, 1, 1), bad))
+    broken = MatrixRep("B", np.full((2, 2, 1, 1), bad))
     with pytest.raises(ValueError, match=r"^input fails family 'B' relations: worst residual nan"):
         lift_b_to_a(np.eye(1), broken)
 
@@ -215,12 +220,12 @@ def test_check_relations_fails_a_non_finite_rep(family, bad):
     where the SVD used to raise LinAlgError."""
     images = np.stack([np.eye(2, dtype=complex)] * 4).reshape(2, 2, 2, 2) / np.sqrt(2)
     images[1, 0, 0, 1] = bad
-    report = check_relations(MatrixRep(family, 2, 2, images))
+    report = check_relations(MatrixRep(family, images))
     assert np.isnan(report.max_residual)
     assert any(np.isnan(report.residuals))
     assert not report.passed
     assert np.isnan(operator_norm(images[1, 0]))
-    finite = check_relations(MatrixRep(family, 2, 2, np.where(np.isfinite(images), images, 0)))
+    finite = check_relations(MatrixRep(family, np.where(np.isfinite(images), images, 0)))
     assert not np.isnan(finite.max_residual)
 
 
@@ -238,7 +243,7 @@ def test_stacked_point_check_names_the_first_failing_point():
     points[3] = points[3] * 2
     residual = operator_norm(points[2].conj().T @ points[2] - np.eye(3))
     with pytest.raises(ValueError) as err:
-        free_product_rep(np.eye(4), points, 3)
+        free_product_rep(np.eye(4), points)
     assert str(err.value) == (
         f"point matrix 2 is not unitary: residual {residual:.3e} exceeds 1e-12"
     )
@@ -274,7 +279,7 @@ def _unbatched_draw(kind, d, n, rng):
 
     def free_product(size):
         twist = haar_unitary(d, rng)
-        return free_product_rep(twist, [haar_unitary(size, rng) for _ in range(d)], size)
+        return free_product_rep(twist, [haar_unitary(size, rng) for _ in range(d)])
 
     if kind == "freeproduct":
         return free_product(n)
@@ -317,7 +322,7 @@ def test_stacked_norms_match_per_matrix_oracle():
     ]
     drawn += [SeparationStrategy("point").draw(n, "B", rng) for n in (1, 2, 4)]
     garbage = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
-    drawn += [MatrixRep(family, 3, 2, garbage) for family in "AB"]
+    drawn += [MatrixRep(family, garbage) for family in "AB"]
     for rep in drawn:
         report = check_relations(rep)
         residuals, selfadjoint = _oracle_residuals(rep)
@@ -371,22 +376,28 @@ def test_free_product_rep_relations_and_validation():
     rng = np.random.default_rng(5)
     twist = haar_unitary(4, rng)
     points = [haar_unitary(3, rng) for _ in range(4)]
-    rep = free_product_rep(twist, points, 3)
+    rep = free_product_rep(twist, points)
     assert rep.d == 4 and rep.n == 3
     assert check_relations(rep).passed
     with pytest.raises(ValueError):
-        free_product_rep(twist, points[:3], 3)
+        free_product_rep(twist, points[:3])
     with pytest.raises(ValueError):
-        free_product_rep(twist, [], 3)
+        free_product_rep(twist, [])
+    # n is the size of the points, so they must share one
     with pytest.raises(ValueError):
-        free_product_rep(twist, [haar_unitary(2, rng)], 3)
+        free_product_rep(twist, [haar_unitary(3, rng), haar_unitary(2, rng)])
+    with pytest.raises(ValueError) as err:
+        free_product_rep(np.eye(2), [np.ones((2, 3))])
+    assert str(err.value) == "point matrix stack must have shape (m, n, n), got (1, 2, 3)"
+    with pytest.raises(ValueError, match=r"^point matrix stack must have shape \(m, n, n\)"):
+        free_product_rep(np.eye(2), np.eye(2))
 
 
 def test_free_product_rep_repeats_points_along_runs():
     rng = np.random.default_rng(9)
     twist = np.eye(4)
     points = [haar_unitary(2, rng), haar_unitary(2, rng)]
-    rep = free_product_rep(twist, points, 2)
+    rep = free_product_rep(twist, points)
     diag = np.diagonal(rep.images[0, 1])
     assert diag[0] == diag[1] == points[0][0, 1]
     assert diag[2] == diag[3] == points[1][0, 1]
@@ -402,7 +413,7 @@ def test_block_rep():
     assert operator_norm(rep.images[0, 3]) == 0.0
     with pytest.raises(ValueError):
         block_rep(left, orthogonal_point_rep(haar_orthogonal(2, rng)))
-    deeper = free_product_rep(haar_unitary(2, rng), [haar_unitary(3, rng)] * 2, 3)
+    deeper = free_product_rep(haar_unitary(2, rng), [haar_unitary(3, rng)] * 2)
     with pytest.raises(ValueError):
         block_rep(left, deeper)
 
@@ -417,13 +428,13 @@ def test_lift_b_to_a_broadcasts_and_checks():
     assert scalar_lift.d == 1
     with pytest.raises(ValueError):
         lift_b_to_a(haar_unitary(2, rng), point_rep(haar_unitary(3, rng)))
-    broken = MatrixRep("B", 2, 1, np.zeros((2, 2, 1, 1)))
+    broken = MatrixRep("B", np.zeros((2, 2, 1, 1)))
     with pytest.raises(ValueError):
         lift_b_to_a(haar_unitary(1, rng), broken)
 
 
 def test_check_relations_fails_on_garbage():
-    rep = MatrixRep("A", 2, 1, np.full((2, 2, 1, 1), 0.5))
+    rep = MatrixRep("A", np.full((2, 2, 1, 1), 0.5))
     report = check_relations(rep)
     assert not report.passed
     assert report.max_residual > 0.1
@@ -487,30 +498,56 @@ def test_matrix_rep_json_roundtrip_shape():
     assert doc["images"][0][1] == [[[0.0, 0.0]]]
 
 
+_SHAPE_MESSAGE = r"^images must have shape \(n, n, d, d\) with n, d >= 1, got "
+
+
 @pytest.mark.parametrize(
     "n,d,shape",
     [(2, 0, (2, 2, 0, 0)), (0, 1, (0, 0, 1, 1)), (0, 0, (0, 0, 0, 0)), (-1, 1, (0, 0, 1, 1))],
 )
 def test_matrix_rep_rejects_empty_sizes(n, d, shape):
     """A model with n < 1 or d < 1 used to build, and check_relations then
-    failed inside numpy on a zero-size reduction."""
+    failed inside numpy on a zero-size reduction.  The sizes are read off
+    the images now, so empty images are what is rejected, and n and d can
+    no longer be stated beside them."""
     for family in "AB":
-        with pytest.raises(ValueError, match="n and d must be >= 1"):
+        with pytest.raises(ValueError, match=_SHAPE_MESSAGE):
+            MatrixRep(family, np.zeros(shape))
+        with pytest.raises(TypeError):
             MatrixRep(family, n, d, np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (2, 2), (2, 2, 1), (2, 2, 1, 1, 1), (2, 3, 1, 1), (2, 2, 1, 2)]
+)
+def test_matrix_rep_rejects_images_of_other_shapes(shape):
+    for family in "AB":
+        with pytest.raises(ValueError, match=_SHAPE_MESSAGE + re.escape(str(shape))):
+            MatrixRep(family, np.zeros(shape))
 
 
 def test_point_rep_rejects_an_empty_matrix():
     for build in (point_rep, orthogonal_point_rep):
-        with pytest.raises(ValueError, match="n and d must be >= 1"):
+        with pytest.raises(ValueError, match=_SHAPE_MESSAGE + r"\(0, 0, 1, 1\)$"):
             build(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=_SHAPE_MESSAGE + r"\(0, 0, 2, 2\)$"):
+        free_product_rep(np.eye(2), np.zeros((2, 0, 0)))
 
 
 @pytest.mark.parametrize("n,d", [(2.0, 1), (2, True), (np.int64(2), 1), ("2", 1)])
 def test_matrix_rep_rejects_sizes_that_are_not_ints(n, d):
     """A float n used to build, and check_relations then failed inside numpy;
-    a bool d built as d = 1."""
-    with pytest.raises(TypeError, match="must be an int"):
-        MatrixRep("A", n, d, np.eye(2).reshape(2, 2, 1, 1))
+    a bool d built as d = 1.  The sizes are now the ints of the images'
+    shape, and the form that stated them beside the images is gone."""
+    images = np.eye(2).reshape(2, 2, 1, 1)
+    with pytest.raises(TypeError):
+        MatrixRep("A", n, d, images)
+    rep = MatrixRep("A", images)
+    assert type(rep.n) is int and type(rep.d) is int
+    assert (rep.n, rep.d) == (2, 1)
+    rep = MatrixRep("B", np.zeros((3, 3, 2, 2)))
+    assert (rep.n, rep.d) == (3, 2)
+    assert rep.to_json()["n"] == 3 and rep.to_json()["d"] == 2
 
 
 @pytest.mark.parametrize("d", [2.0, "2", True])
@@ -528,3 +565,25 @@ def test_polynomials_reject_a_size_that_is_not_an_int(n):
         parse_poly("u11 u12 - u12 u11", n, "A")
     with pytest.raises(TypeError, match="n must be an int"):
         reps.NCPoly("A", n, ())
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "2", np.int64(2)])
+def test_haar_draws_reject_a_size_that_is_not_an_int(dim):
+    """A float or bool size used to fail inside numpy."""
+    rng = np.random.default_rng(0)
+    for draw in (haar_unitary, haar_orthogonal):
+        with pytest.raises(TypeError, match="dim must be an int"):
+            draw(dim, rng)
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [({"trials": 2.0}, "trials"), ({"trials": True}, "trials"), ({"seed": 1.5}, "seed"),
+     ({"seed": True}, "seed"), ({"trials": "2"}, "trials")],
+)
+def test_separate_rejects_counts_that_are_not_ints(extra, name):
+    """A float trial count used to fail inside range, a float seed inside
+    numpy's SeedSequence, and trials=True ran one trial."""
+    poly = parse_poly("u11 u12 - u12 u11", 2, "A")
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        separate(poly, SeparationStrategy("freeproduct", 2), **extra)
