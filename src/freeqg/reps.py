@@ -5,10 +5,11 @@ family 'B') are evaluated against concrete matrix representations, and random
 draws of such representations separate a nonzero polynomial from zero
 numerically.  This module is deliberately floating point: exactness lives in
 the combinatorial layers, here defining relations are checked up to explicit
-operator-norm tolerances.  A pass-or-fail check runs SVDs only when the
-Frobenius norm of its matrices, an upper bound, exceeds half the tolerance.
-Same-size Haar draws share one Gaussian block and one stacked QR, bit for bit
-the matrices of one-at-a-time draws.
+operator-norm tolerances.  Every operator norm comes from one stacked SVD per
+stack of matrices, which a pass-or-fail check skips when the stack's
+Frobenius norm, an upper bound, is at most half the tolerance.  Same-size
+Haar draws share one Gaussian block and one stacked QR, bit for bit the
+matrices of one-at-a-time draws.
 """
 
 from __future__ import annotations
@@ -205,8 +206,6 @@ def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a stack, from one SVD call;
     NaN for a matrix with an inf or NaN entry, which the SVD cannot take."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
     norms = np.full(finite.shape, np.nan)
     if finite.any():
         norms[finite] = np.linalg.svd(stack[finite], compute_uv=False).max(axis=-1)
@@ -267,14 +266,13 @@ def check_relations(rep: MatrixRep, tol: float = _RELATION_TOL) -> RelationRepor
 
 
 def _unsettled_norms(stack: np.ndarray, tol: float) -> list[float]:
-    """Operator norms of the matrices in a stack, or of one matrix, unless
-    the Frobenius norm of the stack, which bounds them all, is at most tol/2:
-    then none.  NaN stands for a matrix with an inf or NaN entry."""
+    """Operator norms of the matrices in a stack, or of one matrix, by one
+    SVD call, unless the stack's Frobenius norm, which bounds them all, is at
+    most tol/2: then none.  NaN stands for a matrix with an inf or NaN entry."""
     # below 1e-150 the squares that make up a Frobenius norm may underflow
     if tol >= 1e-150 and np.vdot(stack, stack).real <= tol * tol / 4:
         return []
-    mats = (stack[i] for i in np.ndindex(stack.shape[:-2]))
-    return [operator_norm(x) for x in mats]
+    return _largest_singular_values(stack.reshape(-1, *stack.shape[-2:])).tolist()
 
 
 def _require_relations(rep: MatrixRep, what: str) -> None:
@@ -290,10 +288,14 @@ def _require_relations(rep: MatrixRep, what: str) -> None:
 def _require_unitary(mat, what: str, ndim: int = 2) -> np.ndarray:
     """mat as a complex unitary matrix, or with ndim = 3 a stack of them;
     what.format("stack") names a stack and what.format(k) its matrix k."""
-    mat = np.asarray(mat, dtype=complex)
+    stack = what.format("stack")
+    wanted = "(n, n)" if ndim == 2 else "(m, n, n)"
+    try:
+        mat = np.asarray(mat, dtype=complex)
+    except ValueError as exc:  # nested sequences of unequal lengths, or bad strings
+        raise ValueError(f"{stack} must have shape {wanted}, got ragged or non-numeric entries") from exc
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
-        wanted = "(n, n)" if ndim == 2 else "(m, n, n)"
-        raise ValueError(f"{what.format('stack')} must have shape {wanted}, got {mat.shape}")
+        raise ValueError(f"{stack} must have shape {wanted}, got {mat.shape}")
     with np.errstate(invalid="ignore"):  # an inf entry gives a NaN gap, which fails
         gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
     for k, residual in enumerate(_unsettled_norms(gap, _UNITARY_INPUT_TOL)):
@@ -314,11 +316,10 @@ def point_rep(w) -> MatrixRep:
 
 def orthogonal_point_rep(o) -> MatrixRep:
     """One-dimensional self-adjoint model from a real orthogonal matrix."""
-    o = np.asarray(o)
-    if np.iscomplexobj(o) and np.abs(o.imag).max(initial=0.0) > 0:
+    o = _require_unitary(o, "orthogonal point matrix")
+    if np.abs(o.imag).max(initial=0.0) > 0:
         raise ValueError("orthogonal point matrix must be real")
-    o = _require_unitary(o.real if np.iscomplexobj(o) else o, "orthogonal point matrix")
-    return MatrixRep("B", o[:, :, None, None])
+    return MatrixRep("B", o.real[:, :, None, None])
 
 
 def free_product_rep(unitary, points) -> MatrixRep:
@@ -373,7 +374,7 @@ def lift_b_to_a(unitary, brep: MatrixRep) -> MatrixRep:
     _require_relations(brep, "input")
     dt = twist.shape[0]
     if brep.d == dt:
-        images = np.einsum("ab,ijbc->ijac", twist, brep.images)
+        images = twist @ brep.images
     elif 1 in (brep.d, dt):
         images = brep.images * twist
     else:

@@ -137,9 +137,8 @@ def enumerate_noncrossing(word: str) -> list[Pairing]:
                     out.append((arc,) + inner + outer)
         return out
 
-    pairings = [Pairing(arcs) for arcs in rec(tuple(range(1, len(word) + 1)))]
-    pairings.sort(key=lambda p: p.arcs)
-    return pairings
+    # in arc order already: the leftmost slot's partner increases, inner arcs precede outer
+    return [Pairing(arcs) for arcs in rec(tuple(range(1, len(word) + 1)))]
 
 
 def enumerate_colorings(word: str) -> list[str]:

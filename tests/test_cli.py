@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from freeqg.linalg import ExactMatrix
 from freeqg.words import balanced_words, orbit_key, parse_word
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_schema(name):
@@ -272,6 +274,12 @@ def test_bad_qgi_threads_is_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "QGI_THREADS" in captured.err
+    monkeypatch.setenv("QGI_THREADS", "-1")
+    code = main(["fullness", "--max-len", "2", "--n", "2", "--dw", "1", "--du", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: QGI_THREADS must be >= 0, got -1\n"
+    assert captured.out == ""
 
 
 def test_fullness_negative_max_len_is_usage_error(capsys):
@@ -461,3 +469,26 @@ def test_console_module_invocation():
     report = json.loads(proc.stdout)
     assert report["result"] == 1
     assert report["version"] == "0.1.0"
+
+
+def readme_commands():
+    """The command lines of the sh block under "## Command line" in README.md
+    as argument lists, with backslash continuations joined and # comments
+    dropped."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("\n## ", 1)[0].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_examples_run(capsys, monkeypatch):
+    """Every documented example runs, exits 0 and prints a valid report, so
+    the README cannot drift from the command line."""
+    monkeypatch.delenv("QGI_THREADS", raising=False)
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "freeqg", argv
+        code, report = run_json(capsys, argv[1:])
+        assert code == 0, argv
+        assert report["command"] == argv[1]
+        jsonschema.validate(report["result"], load_schema(f"{argv[1]}_result.schema.json"))

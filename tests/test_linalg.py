@@ -39,7 +39,19 @@ def test_constructor_rejects_bad_column_counts():
         ExactMatrix([], cols=2.5)
     with pytest.raises(TypeError):
         ExactMatrix([[1, 2]], cols=2.0)
+    with pytest.raises(ValueError, match=r"^cols=3 but rows have 2 entries$"):
+        ExactMatrix([[1, 2]], cols=3)
     assert ExactMatrix([], cols=0).nullspace_basis() == []
+
+
+def test_operands_of_the_wrong_size_or_type_are_rejected():
+    m = ExactMatrix([[1, 2]])
+    with pytest.raises(ValueError, match=r"^vector length 1 does not match 2 columns$"):
+        m.matvec([1])
+    with pytest.raises(ValueError, match=r"^vector length 2 does not match 1 rows$"):
+        m.in_column_space([1, 2])
+    with pytest.raises(TypeError):
+        ExactMatrix([[1]]) @ 3
 
 
 def test_floats_rejected():

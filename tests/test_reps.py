@@ -104,20 +104,14 @@ def test_unitary_input_check_at_tolerance(k, delta, message):
 
 
 def test_unitary_input_check_falls_back_to_svd(monkeypatch):
-    calls = []
-
-    def counting_norm(mat):
-        calls.append(mat)
-        return operator_norm(mat)
-
-    monkeypatch.setattr(reps, "operator_norm", counting_norm)
+    calls = _count_svds(monkeypatch)
     tol = reps._UNITARY_INPUT_TOL
     # Frobenius residual 6.9e-13 > tol/2, operator norm 4.0e-13 <= tol
     w = np.diag([1 + 0.2e-12] * 3)
     gap = w.T @ w - np.eye(3)
     assert np.linalg.norm(gap) > tol / 2 and np.linalg.norm(gap, 2) <= tol
     assert point_rep(w).n == 3
-    assert len(calls) == 1
+    assert calls == [(1, 3, 3)]
     # one diagonal slot: the Frobenius residual 4.0e-13 settles it
     point_rep(np.diag([1 + 0.2e-12]))
     point_rep(haar_unitary(4, np.random.default_rng(0)))
@@ -431,6 +425,9 @@ def test_lift_b_to_a_broadcasts_and_checks():
     broken = MatrixRep("B", np.zeros((2, 2, 1, 1)))
     with pytest.raises(ValueError):
         lift_b_to_a(haar_unitary(1, rng), broken)
+    blocks = MatrixRep("B", np.eye(2)[:, :, None, None] * np.eye(2))
+    with pytest.raises(ValueError, match="^dimension mismatch: unitary is 3, representation is 2$"):
+        lift_b_to_a(np.eye(3), blocks)
 
 
 def test_check_relations_fails_on_garbage():
@@ -524,6 +521,26 @@ def test_matrix_rep_rejects_images_of_other_shapes(shape):
     for family in "AB":
         with pytest.raises(ValueError, match=_SHAPE_MESSAGE + re.escape(str(shape))):
             MatrixRep(family, np.zeros(shape))
+
+
+def test_ragged_matrix_input_gets_a_shape_message():
+    """numpy's own "inhomogeneous shape" message used to surface here."""
+    ragged = "must have shape {}, got ragged or non-numeric entries$"
+    with pytest.raises(ValueError, match="^point matrix stack " + ragged.format(r"\(m, n, n\)")):
+        free_product_rep(np.eye(2), [np.eye(3), np.eye(2)])
+    with pytest.raises(ValueError, match="^point matrix " + ragged.format(r"\(n, n\)")):
+        point_rep([[1, 0], [0]])
+    with pytest.raises(ValueError, match="^orthogonal point matrix " + ragged.format(r"\(n, n\)")):
+        orthogonal_point_rep([[1, 0], [0]])
+
+
+def test_unknown_families_and_empty_sizes_are_rejected():
+    with pytest.raises(ValueError, match="^family must be 'A' or 'B', got 'C'$"):
+        MatrixRep("C", np.ones((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="^family must be 'A' or 'B', got 'C'$"):
+        reps.NCPoly("C", 2, ())
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        reps.NCPoly("A", 0, ())
 
 
 def test_point_rep_rejects_an_empty_matrix():

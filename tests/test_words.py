@@ -102,6 +102,7 @@ def test_word_positions_and_balance():
     # arcs join the u positions 1, 2 to the U positions 3, 4
     assert Pairing(((1, 3), (2, 4))).is_pairing_of("uuUU")
     assert not Pairing(((1, 2), (3, 4))).is_pairing_of("uuUU")
+    assert not Pairing(((1, 2),)).is_pairing_of("uUuU")
     assert "uuU" not in balanced_words(4)
     assert "" in balanced_words(0)
 
@@ -166,7 +167,9 @@ def test_noncrossing_alternating_counts_are_catalan(k):
     assert len(enumerate_noncrossing(word)) == CATALAN[k]
 
 
-@pytest.mark.parametrize("text", ["uU", "uuUU", "uUuU", "uUuUuU", "uuUuUU", "uUUuuU"])
+# every balanced word up to length 10: this pins the arc order in which the
+# nesting recursion emits its pairings
+@pytest.mark.parametrize("text", balanced_words(10))
 def test_noncrossing_agrees_with_filter(text):
     word = parse_word(text)
     by_filter = [p for p in enumerate_pairings(word) if is_noncrossing(p)]
