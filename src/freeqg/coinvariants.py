@@ -7,7 +7,7 @@ functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
 size of the block it stays in.  One routine builds every Gram matrix: it
 codes the slot permutation of every pair as an integer, by one numpy matmul
-per block of rows, and walks the distinct codes for their loops;
+per block of rows, and walks each code for its loops once per call;
 ambient and colored matrices differ only in how they weigh those loops, so
 fullness_system weighs one walk of all pairs for the ambient matrix and
 every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
@@ -112,10 +112,10 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
     slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
     matmul (k ** B) @ B.T codes every pair, in int64 below k^k = 2^63 and in
-    object arrays of Python ints above.  Each distinct code is walked and
-    weighed once per call, as weigh is cached across blocks of rows; a
-    block finds its codes in a table of all k^k codes or, when there are
-    more codes than entries, by np.unique."""
+    object arrays of Python ints above.  With no more codes than entries, a
+    table of all k^k codes gets the weights of the k! slot permutations once,
+    before the first block; otherwise each block weighs the distinct codes
+    np.unique finds, and weigh's cache walks each code once per call."""
     plain = [i for i, letter in enumerate(word, start=1) if letter == "u"]
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
@@ -161,22 +161,20 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     powers, bt = k**b, b.T
     step = max(1, _BLOCK_ENTRIES // m)
     dense = size <= m * m
-    if dense:
+    if dense:  # every code is the code of one of the k! slot permutations
+        place = [k**s for s in range(k)]
         table = np.empty(size, dtype=object)
+        for sigma in itertools.permutations(range(k)):
+            code = sum(map(mul, sigma, place))
+            table[code] = weigh(code)
     rows = []
     for lo in range(0, m, step):
         codes = powers[lo:lo + step] @ bt
-        if dense:
-            hit = np.zeros(size, dtype=bool)
-            hit[codes] = True
-            met = hit.nonzero()[0]
-            table[met] = list(map(weigh, met.tolist()))
-            ids = codes
-        else:
+        if not dense:
             distinct, ids = np.unique(codes, return_inverse=True)
-            ids = ids.reshape(codes.shape)  # numpy 1.x returns it flat
+            codes = ids.reshape(codes.shape)  # numpy 1.x returns it flat
             table = np.array(list(map(weigh, distinct.tolist())), dtype=object)
-        rows += map(tuple, table[ids].tolist())
+        rows += map(tuple, table[codes].tolist())
     return rows
 
 

@@ -25,7 +25,6 @@ matrices) without that scan.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -101,9 +100,7 @@ class ExactMatrix:
     def __init__(self, entries, cols: int | None = None):
         if cols is not None and type(cols) is not int:
             raise TypeError(f"cols must be an int, got {cols!r}")
-        data = tuple(map(tuple, entries))
-        if set(map(type, chain.from_iterable(data))) - {int}:
-            data = tuple(tuple(_ints(row)) for row in data)
+        data = tuple(tuple(_ints(row)) for row in entries)
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:

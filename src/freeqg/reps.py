@@ -150,6 +150,14 @@ def parse_poly(text: str, n: int, family: str) -> NCPoly:
     return NCPoly(family, n, tuple(zip(coeffs, map(tuple, monomials))))
 
 
+def _complex_array(mat, wanted: str) -> np.ndarray:
+    """mat as a complex array; ragged or non-numeric input fails with wanted."""
+    try:
+        return np.asarray(mat, dtype=complex)
+    except ValueError as exc:  # nested sequences of unequal lengths, or bad strings
+        raise ValueError(wanted.format("ragged or non-numeric entries")) from exc
+
+
 @dataclass(frozen=True)
 class MatrixRep:
     """Images of one generator family as d x d blocks.
@@ -168,12 +176,11 @@ class MatrixRep:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        images = np.asarray(self.images, dtype=complex)
+        wanted = "images must have shape (n, n, d, d) with n, d >= 1, got {}"
+        images = _complex_array(self.images, wanted)
         object.__setattr__(self, "images", images)
         if images.ndim != 4 or images.shape != (self.n, self.n, self.d, self.d) or not images.size:
-            raise ValueError(
-                f"images must have shape (n, n, d, d) with n, d >= 1, got {images.shape}"
-            )
+            raise ValueError(wanted.format(images.shape))
 
     @property
     def n(self) -> int:
@@ -288,14 +295,11 @@ def _require_relations(rep: MatrixRep, what: str) -> None:
 def _require_unitary(mat, what: str, ndim: int = 2) -> np.ndarray:
     """mat as a complex unitary matrix, or with ndim = 3 a stack of them;
     what.format("stack") names a stack and what.format(k) its matrix k."""
-    stack = what.format("stack")
-    wanted = "(n, n)" if ndim == 2 else "(m, n, n)"
-    try:
-        mat = np.asarray(mat, dtype=complex)
-    except ValueError as exc:  # nested sequences of unequal lengths, or bad strings
-        raise ValueError(f"{stack} must have shape {wanted}, got ragged or non-numeric entries") from exc
+    shape = "(n, n)" if ndim == 2 else "(m, n, n)"
+    wanted = what.format("stack") + f" must have shape {shape}, got {{}}"
+    mat = _complex_array(mat, wanted)
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"{stack} must have shape {wanted}, got {mat.shape}")
+        raise ValueError(wanted.format(mat.shape))
     with np.errstate(invalid="ignore"):  # an inf entry gives a NaN gap, which fails
         gap = np.swapaxes(mat.conj(), -1, -2) @ mat - np.eye(mat.shape[-1])
     for k, residual in enumerate(_unsettled_norms(gap, _UNITARY_INPUT_TOL)):

@@ -227,6 +227,7 @@ def test_gram_matrices_match_loop_decomposition(text):
         pytest.param(lambda ps: [ps[2], ps[0], ps[2], ps[1], ps[0]], False, id="duplicated"),
         pytest.param(lambda ps: ps + ps[::-1], True, id="duplicated-all"),
         pytest.param(lambda ps: ps[3:4], False, id="single"),
+        pytest.param(lambda ps: ps[:18], True, id="prefix-18"),
         pytest.param(lambda ps: [], None, id="empty"),
     ],
 )
@@ -234,7 +235,9 @@ def test_gram_matrices_match_loop_decomposition(text):
 def test_gram_matrices_of_rearranged_pairing_lists(text, arrange, dense):
     """Gram matrices follow the given list, whatever its order or repeats,
     both where the codes are looked up in the table of all k^k codes
-    (k^k <= m^2 for m pairings) and where in np.unique."""
+    (k^k <= m^2 for m pairings) and where in np.unique.  The first 18 of the
+    24 pairings of uuUuUUuU take the table, though the list lacks six of the
+    slot permutations whose weights it holds."""
     word = parse_word(text)
     pairings = arrange(enumerate_pairings(word))
     k = len(text) // 2
@@ -300,19 +303,32 @@ def test_gram_of_noncrossing_pairings_across_row_blocks():
 
 
 @pytest.mark.parametrize(
-    "text, enumerate_", [("uU" * 7, enumerate_noncrossing), ("uuUuUUuUuUuU", enumerate_pairings)]
+    "text, enumerate_",
+    [
+        ("uU" * 7, enumerate_noncrossing),
+        ("uuUuUUuUuUuU", enumerate_pairings),
+        pytest.param(
+            "uuUuUUuU", lambda word: enumerate_pairings(word)[:18], id="uuUuUUuU-first-18"
+        ),
+    ],
 )
 def test_loop_gram_weighs_each_code_once_across_row_blocks(text, enumerate_):
     """The 429 non-crossing pairings of (uU)^7 fill six row blocks of the
     np.unique path, the 720 pairings of a length-12 word 16 blocks of the
     table path, and the pairs of each code all k! slot permutations; each
-    code is weighed once per call, not once in every block that meets it."""
+    code is weighed once per call, not once in every block that meets it.
+    The table path weighs every slot permutation before its first block, so
+    18 of the 24 pairings of a length-8 word, in one block, weigh 4! = 24."""
     word = parse_word(text)
     pairings = enumerate_(word)
-    assert len(pairings) ** 2 > 4 * coinvariants._BLOCK_ENTRIES
+    k = len(word) // 2
+    # several row blocks, or a list on the table path that lacks some pairings
+    assert len(pairings) ** 2 > 4 * coinvariants._BLOCK_ENTRIES or (
+        k**k <= len(pairings) ** 2 < math.factorial(k) ** 2
+    )
     masks = []
     coinvariants._loop_gram(pairings, word, lambda mask: masks.append(mask) or 0)
-    assert len(masks) == math.factorial(len(word) // 2)
+    assert len(masks) == math.factorial(k)
 
 
 def test_gram_of_noncrossing_pairings_takes_the_unique_branch():

@@ -524,8 +524,12 @@ def test_matrix_rep_rejects_images_of_other_shapes(shape):
 
 
 def test_ragged_matrix_input_gets_a_shape_message():
-    """numpy's own "inhomogeneous shape" message used to surface here."""
+    """numpy's own "inhomogeneous shape" and "malformed string" messages
+    used to surface here, in MatrixRep as in the point constructors."""
     ragged = "must have shape {}, got ragged or non-numeric entries$"
+    for images in ([[np.eye(2), np.eye(3)]], "abc"):
+        with pytest.raises(ValueError, match=_SHAPE_MESSAGE + "ragged or non-numeric entries$"):
+            MatrixRep("A", images)
     with pytest.raises(ValueError, match="^point matrix stack " + ragged.format(r"\(m, n, n\)")):
         free_product_rep(np.eye(2), [np.eye(3), np.eye(2)])
     with pytest.raises(ValueError, match="^point matrix " + ragged.format(r"\(n, n\)")):
