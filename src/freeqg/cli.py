@@ -25,8 +25,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .coinvariants import AmbientSpec, QuotientSpec, joint_fullness, nc_rank, verdict_json
@@ -92,6 +91,7 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
     # a fork pool starts all its workers at once, so start no idle ones
     workers = min(_worker_count(), len(representatives))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             decided = list(pool.map(_fullness_task, representatives))
     else:
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # the base class of BrokenProcessPool
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 4
     elapsed_ms = (time.perf_counter() - start) * 1000.0

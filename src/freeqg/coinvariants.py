@@ -6,8 +6,8 @@ a product of Kronecker deltas along the arcs.  Inner products of these
 functionals count closed loops: <T_p, T_q> equals n to the number of loops of
 p overlaid with q, and in the colored refinement each loop contributes the
 size of the block it stays in.  One routine builds every Gram matrix: it
-codes the slot permutation of every pair as an integer, by one numpy matmul
-per block of rows, and walks each code for its loops once per call;
+codes the slot permutation of every pair as an integer, by one BLAS matmul
+per block of rows, and walks each permutation for its loops once per call;
 ambient and colored matrices differ only in how they weigh those loops, so
 fullness_system weighs one walk of all pairs for the ambient matrix and
 every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
@@ -29,7 +29,6 @@ by literal dot products.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -111,11 +110,11 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
     of the loop's least V slot.  With V* slot t joined to V slot back[t],
     the loops follow the cycles of sigma = back_q o back_p^-1 on the k V
     slots, coded as sum_s sigma(s) k^s = sum_t k^back_p[t] back_q[t], so the
-    matmul (k ** B) @ B.T codes every pair, in int64 below k^k = 2^63 and in
-    object arrays of Python ints above.  With no more codes than entries, a
-    table of all k^k codes gets the weights of the k! slot permutations once,
-    before the first block; otherwise each block weighs the distinct codes
-    np.unique finds, and weigh's cache walks each code once per call."""
+    matmul (k ** B) @ B.T codes every pair, in float64 cast to int64 below
+    k^k = 2^53, as every partial sum is an exact int, and in object arrays of
+    Python ints above.  With no more codes than entries, a table of all k^k
+    codes gets the walks of the k! slot permutations before the first block;
+    otherwise a dict across blocks holds the walk of each code np.unique finds."""
     plain = [i for i, letter in enumerate(word, start=1) if letter == "u"]
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     # V slot s as s and V* slot t as ~t < 0; every arc joins one of each
@@ -140,12 +139,7 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
         return []
     bits = [1 << pos - 1 for pos in plain]
 
-    @functools.cache
-    def weigh(code: int):
-        sigma, rest = [], code
-        for _ in bits:
-            rest, s = divmod(rest, k)
-            sigma.append(s)
+    def walk(sigma: list):  # weight of the loops of sigma; consumes sigma
         mask = 0
         for start, bit in enumerate(bits):
             if sigma[start] >= 0:  # a new loop; -1 marks walked slots
@@ -156,24 +150,29 @@ def _loop_gram(pairings, word: str, weight) -> list[tuple]:
         return weight(mask)
 
     size = k**k
-    # every partial sum of a code is below size
-    b = np.array(back, dtype=np.int64 if size < 1 << 63 else object)
-    powers, bt = k**b, b.T
+    # every partial sum of a code is an int below size
+    dtype, cast = (np.float64, np.int64) if size < 1 << 53 else (object, object)
+    b = np.array(back, dtype=np.intp)
+    place = [k**s for s in range(k)]
+    powers, bt = np.array(place, dtype=dtype)[b], b.T.astype(dtype)
     step = max(1, _BLOCK_ENTRIES // m)
     dense = size <= m * m
     if dense:  # every code is the code of one of the k! slot permutations
-        place = [k**s for s in range(k)]
         table = np.empty(size, dtype=object)
         for sigma in itertools.permutations(range(k)):
-            code = sum(map(mul, sigma, place))
-            table[code] = weigh(code)
+            table[sum(map(mul, sigma, place))] = walk(list(sigma))
+    weights = {}  # code -> weight, across row blocks
     rows = []
     for lo in range(0, m, step):
-        codes = powers[lo:lo + step] @ bt
+        codes = (powers[lo:lo + step] @ bt).astype(cast, copy=False)
         if not dense:
             distinct, ids = np.unique(codes, return_inverse=True)
             codes = ids.reshape(codes.shape)  # numpy 1.x returns it flat
-            table = np.array(list(map(weigh, distinct.tolist())), dtype=object)
+            table = np.array(list(map(weights.get, distinct.tolist())), dtype=object)
+            new = np.equal(table, None)  # codes new to this call
+            sigmas = (distinct[new][:, None] // np.array(place, dtype=cast) % k).tolist()
+            table[new] = walked = list(map(walk, sigmas))
+            weights.update(zip(distinct[new].tolist(), walked))
         rows += map(tuple, table[codes].tolist())
     return rows
 

@@ -62,6 +62,13 @@ class Pairing:
         if sorted(itertools.chain.from_iterable(arcs)) != list(range(1, 2 * len(arcs) + 1)):
             raise ValueError(f"arcs {arcs} do not partition 1..{2 * len(arcs)}")
 
+    @classmethod
+    def _of_sorted_arcs(cls, arcs) -> "Pairing":
+        """Pairing of arcs that are canonical by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arcs", arcs)
+        return self
+
     def __len__(self) -> int:
         """Number of arcs (k for a word of length 2k)."""
         return len(self.arcs)
@@ -94,9 +101,14 @@ def enumerate_pairings(word: str) -> list[Pairing]:
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     if len(plain) != len(star):
         return []
-    pairings = [Pairing(tuple(zip(plain, images))) for images in itertools.permutations(star)]
-    pairings.sort(key=lambda p: p.arcs)
-    return pairings
+    if sorted(plain + star) != list(range(1, len(word) + 1)):
+        raise ValueError(f"u and U slots do not partition {word!r}")
+    arcs = []
+    for images in itertools.permutations(star):
+        if sorted(images) != star:  # so that the arcs partition 1..2k
+            raise ValueError(f"{images} is not a permutation of the U slots")
+        arcs.append(tuple(sorted([(a, b) if a < b else (b, a) for a, b in zip(plain, images)])))
+    return list(map(Pairing._of_sorted_arcs, sorted(arcs)))
 
 
 def is_noncrossing(p: Pairing) -> bool:

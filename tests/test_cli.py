@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import shlex
@@ -258,7 +259,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("max_len, orbits", [(0, 1), (2, 2), (4, 4)])
 def test_pool_has_no_more_workers_than_orbits(capsys, monkeypatch, max_len, orbits):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setenv("QGI_THREADS", "64")
     argv = ["fullness", "--max-len", str(max_len), "--n", "2", "--dw", "1", "--du", "1"]
     code, report = run_json(capsys, argv)

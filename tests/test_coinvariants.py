@@ -258,6 +258,28 @@ def test_gram_matrices_of_a_long_alternating_word():
     check_grams_by_loop_decomposition(word, pairings, colorings)
 
 
+@pytest.mark.parametrize("k", [13, 14])
+def test_gram_codes_on_both_sides_of_the_float64_bound(k):
+    """Codes are float64 products below 2^53, so at k = 13 (13^13 < 2^53),
+    and Python ints at k = 14.  Each of the 28 pairings is one of the two
+    non-crossing pairings of the first four slots, adjacent arcs, and one of
+    the 14 of the last eight slots, so that codes near k^k are odd: at k = 14
+    a float64 product would round them."""
+    assert (k**k < 2**53) == (k == 13)
+    word = parse_word("uU" * k)
+    shift = 2 * k - 8
+    middle = tuple((2 * i + 1, 2 * i + 2) for i in range(2, k - 4))
+    tail = enumerate_noncrossing(parse_word("uU" * 4))
+    pairings = [
+        Pairing(head.arcs + middle + tuple((a + shift, b + shift) for a, b in p.arcs))
+        for head in enumerate_noncrossing(parse_word("uUuU"))
+        for p in tail
+    ]
+    assert all(p.is_pairing_of(word) and is_noncrossing(p) for p in pairings)
+    colorings = ["W" * 2 * k, "W" * shift + "U" * 8]
+    check_grams_by_loop_decomposition(word, pairings, colorings)
+
+
 def test_gram_routine_takes_words_past_256_u_letters():
     """Codes past 2^63 are Python ints, so no count of u letters is too large."""
     for k in (256, 257):

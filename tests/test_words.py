@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from freeqg import words
 from freeqg.coinvariants import (
     AmbientSpec,
     FullnessVerdict,
@@ -152,6 +153,30 @@ def test_pairings_match_bruteforce_matchings(length):
             if all(word[a - 1] != word[b - 1] for a, b in arcs):
                 expected.add(tuple(sorted(tuple(sorted(arc)) for arc in arcs)))
         assert {p.arcs for p in enumerate_pairings(word)} == expected
+
+
+# every balanced word up to length 10: enumerate_pairings builds its
+# pairings from canonical arcs without the constructor's check
+@pytest.mark.parametrize("text", balanced_words(10))
+def test_enumerated_pairings_equal_checked_pairings(text):
+    pairings = enumerate_pairings(parse_word(text))
+    checked = [Pairing(p.arcs) for p in pairings]
+    assert pairings == checked
+    assert list(map(hash, pairings)) == list(map(hash, checked))
+    assert [p.arcs for p in pairings] == sorted(p.arcs for p in checked)
+    for p, q in zip(pairings, checked):
+        assert type(p.arcs) is tuple and p.arcs == q.arcs
+        assert all(type(arc) is tuple and arc[0] < arc[1] for arc in p.arcs)
+
+
+def test_enumerate_pairings_checks_every_permutation(monkeypatch):
+    """The images of the U slots must be a permutation of them, checked for
+    every pairing: a repeated slot raises."""
+    monkeypatch.setattr(
+        words.itertools, "permutations", lambda star: iter([tuple(star), (star[0],) * len(star)])
+    )
+    with pytest.raises(ValueError, match="not a permutation of the U slots"):
+        enumerate_pairings(parse_word("uUuU"))
 
 
 def test_noncrossing_frozen_small_cases():
