@@ -82,12 +82,12 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
         raise ValueError(f"quotient blocks sum to {quotient.n}, ambient size is {ambient.n}")
     if args.word is None:  # after the checks: the word list grows as 2^max_len
         words = balanced_words(args.max_len)
-    tasks = [(w, quotient.d_w, quotient.d_u) for w in words]
+    sizes = quotient.d_w, quotient.d_u
     # one verdict per symmetry orbit, decided on its first word
-    orbits: dict[str, list[int]] = {}
-    for i, word in enumerate(words):
-        orbits.setdefault(orbit_key(word), []).append(i)
-    representatives = [tasks[members[0]] for members in orbits.values()]
+    orbits: dict[str, list[str]] = {}
+    for word in words:
+        orbits.setdefault(orbit_key(word), []).append(word)
+    representatives = [(members[0], *sizes) for members in orbits.values()]
     # a fork pool starts all its workers at once, so start no idle ones
     workers = min(_worker_count(), len(representatives))
     if workers > 1:
@@ -96,15 +96,14 @@ def cmd_fullness(args) -> tuple[dict, dict, bool, list | None]:
             decided = list(pool.map(_fullness_task, representatives))
     else:
         decided = [_fullness_task(task) for task in representatives]
-    verdicts: list = [None] * len(tasks)
+    by_word = {}
     for members, verdict in zip(orbits.values(), decided):
-        verdicts[members[0]] = verdict
-        for i in members[1:]:
+        by_word[members[0]] = verdict
+        for w in members[1:]:
             # a witness is in its own word's pairing coordinates, so the
             # members of a failing orbit are decided one by one
-            verdicts[i] = (
-                dict(verdict, word=tasks[i][0]) if verdict["holds"] else _fullness_task(tasks[i])
-            )
+            by_word[w] = dict(verdict, word=w) if verdict["holds"] else _fullness_task((w, *sizes))
+    verdicts = [by_word[w] for w in words]
     all_hold = all(v["holds"] for v in verdicts)
     parameters = {
         "word": args.word,

@@ -247,9 +247,11 @@ def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
     units, V* slots the negated transpose.  The diagonal units act diagonally,
     so their joint kernel is the coordinate subspace of multi-indices whose V
     and V* slots carry every symbol equally often.  On that subspace the
-    off-diagonal units are stacked into one integer matrix A, one row per
-    unit and output multi-index, so the answer is the nullity of A, read off
-    its exact kernel.
+    raising units E_ab, a < b, are stacked into one integer matrix A, one row
+    per unit and output multi-index, and the answer is the nullity of A: a
+    weight-zero vector that they all kill is a highest-weight vector of
+    weight 0, so it lies in the trivial isotypic part, as rational
+    gl_n-modules are completely reducible.
     """
     n = ambient.n
     length = len(parse_word(word))
@@ -267,25 +269,22 @@ def invariant_dimension_oracle(word: str, ambient: AmbientSpec) -> int:
             balanced_idx.append(idx)
     m = len(balanced_idx)
     rows = []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            # rows of the unit E_ab acting slot by slot, one per output
-            # multi-index in the full coordinate space
-            unit_rows = defaultdict(lambda: [0] * m)
-            for j, idx in enumerate(balanced_idx):
-                for s, (letter, v) in enumerate(zip(word, idx)):
-                    if letter == "u" and v == b:
-                        out = idx[:s] + (a,) + idx[s + 1:]
-                        coeff = 1
-                    elif letter == "U" and v == a:
-                        out = idx[:s] + (b,) + idx[s + 1:]
-                        coeff = -1
-                    else:
-                        continue
-                    unit_rows[out][j] += coeff
-            rows += unit_rows.values()
+    for a, b in itertools.combinations(range(n), 2):
+        # rows of the unit E_ab acting slot by slot, one per output
+        # multi-index in the full coordinate space
+        unit_rows = defaultdict(lambda: [0] * m)
+        for j, idx in enumerate(balanced_idx):
+            for s, (letter, v) in enumerate(zip(word, idx)):
+                if letter == "u" and v == b:
+                    out = idx[:s] + (a,) + idx[s + 1:]
+                    coeff = 1
+                elif letter == "U" and v == a:
+                    out = idx[:s] + (b,) + idx[s + 1:]
+                    coeff = -1
+                else:
+                    continue
+                unit_rows[out][j] += coeff
+        rows += unit_rows.values()
     return len(ExactMatrix._of_int_rows(rows, m).nullspace_basis())
 
 
@@ -321,10 +320,11 @@ def fullness_system(word: str, quotient: QuotientSpec):
     pairings lies in the column space of the corresponding Gram columns, iff
     the cokernel of those columns annihilates it.  This is exact because the
     inner product comes from genuine real vectors, hence is positive
-    semidefinite on the span.  Each cokernel vector y of a colored Gram
-    matrix G_c gives the row G_c @ y, scattered to pairing coordinates.
-    Colorings without a block-respecting pairing constrain nothing, so only
-    block-balanced ones are visited, and each distinct colored subproblem
+    semidefinite on the span.  Each cokernel vector y of a colored Gram matrix
+    G_c gives the row G_c @ y, scattered to pairing coordinates; it is zero at
+    nc_indices, as y annihilates the non-crossing columns of the symmetric
+    G_c.  Colorings without a block-respecting pairing constrain nothing, so
+    only block-balanced ones are visited, and each distinct colored subproblem
     (G_c and its non-crossing positions) is solved once per call.  Only the
     kernel of the constraints is read, so the order of their rows is free.
     """

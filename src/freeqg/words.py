@@ -101,8 +101,6 @@ def enumerate_pairings(word: str) -> list[Pairing]:
     star = [i for i, letter in enumerate(word, start=1) if letter == "U"]
     if len(plain) != len(star):
         return []
-    if sorted(plain + star) != list(range(1, len(word) + 1)):
-        raise ValueError(f"u and U slots do not partition {word!r}")
     arcs = []
     for images in itertools.permutations(star):
         if sorted(images) != star:  # so that the arcs partition 1..2k
@@ -184,15 +182,9 @@ def loop_decomposition(p: Pairing, q: Pairing) -> tuple[tuple[int, ...], ...]:
     for start in range(1, 2 * len(p) + 1):
         if start in seen:
             continue
-        cycle = [start]
-        pos = start
-        take_p = True
-        while True:
-            pos = (pmap if take_p else qmap)[pos]
-            take_p = not take_p
-            if pos == start:
-                break
-            cycle.append(pos)
+        cycle = [start, pmap[start]]
+        while (pos := qmap[cycle[-1]]) != start:  # a q-arc, then a p-arc
+            cycle += (pos, pmap[pos])
         seen.update(cycle)
         loops.append(tuple(cycle))
     return tuple(loops)

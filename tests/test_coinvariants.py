@@ -35,6 +35,7 @@ from freeqg.words import (
     is_block_respecting,
     is_noncrossing,
     loop_decomposition,
+    orbit_key,
     parse_word,
 )
 
@@ -616,6 +617,49 @@ def test_fullness_system_solves_each_colored_subproblem_once(n, d_w, d_u, distin
     assert len(calls) == len(subproblems)
 
 
+def sympy_kernel(rows, cols):
+    """sympy's nullspace of the rows, each vector scaled to a primitive
+    integer vector with a positive leading entry."""
+    basis = []
+    flat = [x for row in rows for x in row]
+    for vec in sympy.Matrix(len(rows), cols, flat).nullspace():
+        scale = math.lcm(*(int(sympy.fraction(x)[1]) for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_constraint_kernels_match_sympy(n, d_w, d_u):
+    """The kernel step of joint_fullness, vector for vector against sympy."""
+    quotient = QuotientSpec(d_w, d_u)
+    firsts = {}  # the first word of each symmetry orbit
+    for word in balanced_words(8):
+        firsts.setdefault(orbit_key(word), word)
+    words = balanced_words(6) + [w for w in firsts.values() if len(w) == 8]
+    assert len(words) == 29 + 7
+    for word in words:
+        constraints = fullness_system(word, quotient)[3]
+        expected = sympy_kernel(constraints.row_list(), constraints.cols)
+        assert constraints.nullspace_basis() == expected, str(word)
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_noncrossing_constraint_columns_are_zero(n, d_w, d_u):
+    """Each cokernel vector y annihilates the non-crossing columns of the
+    symmetric G_c, so every constraint row G_c @ y is zero there, and each
+    e_j at a non-crossing position j is a kernel basis vector."""
+    quotient = QuotientSpec(d_w, d_u)
+    for word in balanced_words(8):
+        pairings, nc_indices, _, constraints = fullness_system(word, quotient)
+        rows = constraints.row_list()
+        assert all(row[j] == 0 for row in rows for j in nc_indices), str(word)
+        kernel = constraints.nullspace_basis()
+        for j in nc_indices:
+            assert [int(i == j) for i in range(len(pairings))] in kernel, (str(word), j)
+
+
 def test_fullness_system_shapes():
     word = parse_word("uuUU")
     pairings, nc_indices, gram, constraints = fullness_system(word, QuotientSpec(1, 1))
@@ -768,6 +812,51 @@ def test_solution_dim_against_the_noncrossing_span_plus_gram_kernel(n, d_w, d_u)
         verdict = joint_fullness(word, quotient)
         assert verdict.solution_space_dim >= dim_n, str(word)
         assert (verdict.solution_space_dim == dim_n) == verdict.holds, str(word)
+
+
+def dense_joint_fullness(word, quotient):
+    """(holds, solution_dim) by a second route on the dense functionals of
+    realize_functional.  For each coloring, restrict every functional to the
+    summand's coordinates (W slots take values below d_w), and take the rows
+    z with z @ N = 0 for the restricted non-crossing columns N, as the kernel
+    of N's transpose, whose rows are the restricted non-crossing functionals.
+    The solution space is the kernel of all rows z @ D for the restricted
+    functionals D; it holds when each of its dense functionals lies in the
+    span of the non-crossing ones."""
+    ambient = AmbientSpec(quotient.n)
+    pairings = enumerate_pairings(word)
+    ncs = set(enumerate_noncrossing(word))
+    dense = np.array([realize_functional(p, word, ambient) for p in pairings])
+    n, d_w = quotient.n, quotient.d_w
+    stack = []
+    for coloring in enumerate_colorings(word):
+        ranges = [range(d_w) if block == "W" else range(d_w, n) for block in coloring]
+        coords = [
+            sum(v * n ** (len(word) - s - 1) for s, v in enumerate(idx))
+            for idx in itertools.product(*ranges)
+        ]
+        restricted = dense[:, coords].tolist()
+        nc_rows = [row for row, p in zip(restricted, pairings) if p in ncs]
+        for z in ExactMatrix(nc_rows, cols=len(coords)).nullspace_basis():
+            row = [sum(map(mul, z, column)) for column in restricted]
+            if any(row):
+                stack.append(row)
+    solution = ExactMatrix(stack, cols=len(pairings)).nullspace_basis()
+    columns = list(zip(*dense.tolist()))
+    nc_columns = ExactMatrix([[x for x, p in zip(c, pairings) if p in ncs] for c in columns])
+    holds = all(
+        nc_columns.in_column_space([sum(map(mul, a, c)) for c in columns])[0] for a in solution
+    )
+    return holds, len(solution)
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(2, 1, 1), (3, 2, 1), (3, 1, 2)])
+def test_joint_fullness_matches_the_dense_route(n, d_w, d_u):
+    quotient = QuotientSpec(d_w, d_u)
+    for word in balanced_words(6):
+        verdict = joint_fullness(word, quotient)
+        expected = dense_joint_fullness(word, quotient)
+        assert (verdict.holds, verdict.solution_space_dim) == expected, str(word)
 
 
 def test_joint_fullness_conjectured_n3_case_holds_on_short_words():
