@@ -15,11 +15,11 @@ so all span and rank questions are settled by integer elimination.  The
 specs take only int sizes, so the entries are ints by construction and the
 matrices enter linalg through ExactMatrix._of_int_rows, without its scan.
 
-Span membership has one routine, _cokernel: a vector lies in the span of
-some Gram columns iff their cokernel annihilates it, and as every Gram matrix
-is symmetric that cokernel is the kernel of the matching rows.  Both
-fullness_system and joint_fullness decide membership this way; verify_witness
-re-checks a witness by the other route, an in_column_space certificate.
+Span membership has one rule, _cokernel_rows: the rows G @ y, y over the
+cokernel of some Gram columns, annihilate exactly the span of those columns.
+fullness_system reads them as each colored subproblem's constraint rows,
+joint_fullness as the membership test of the constraint kernel;
+verify_witness re-checks a witness by another route, in_column_space.
 
 Two independent routes to the same geometry are kept side by side on purpose:
 loop counting produces Gram entries combinatorially, while realize_functional
@@ -294,12 +294,21 @@ def nc_rank(word: str, ambient: AmbientSpec) -> int:
     return gram_matrix(ncs, word, ambient).rank()
 
 
-def _cokernel(gram_rows, inside) -> list[list[int]]:
-    """Basis of the y with y @ G[:, inside] == 0, which annihilate exactly the
-    span of those columns of the symmetric matrix G with these rows.  As
-    y @ G == G @ y, it is the kernel of the rows `inside`."""
+def _cokernel_rows(gram_rows, inside) -> list[list[int]]:
+    """The nonzero rows G @ y, y over the cokernel basis of the columns
+    `inside` of the symmetric matrix G with these rows.  As y @ G == G @ y,
+    that cokernel is the kernel of the rows `inside`, and G @ y sums the
+    rows of G at y's nonzeros, its pivot columns and its free column."""
     rows = [gram_rows[k] for k in inside]
-    return ExactMatrix._of_int_rows(rows, len(gram_rows)).nullspace_basis()
+    products = []
+    for y in ExactMatrix._of_int_rows(rows, len(gram_rows)).nullspace_basis():
+        product = [0] * len(gram_rows)
+        for v, row in zip(y, gram_rows):
+            if v:
+                product = [p + v * x for p, x in zip(product, row)]
+        if any(product):
+            products.append(product)
+    return products
 
 
 def fullness_system(word: str, quotient: QuotientSpec):
@@ -315,18 +324,14 @@ def fullness_system(word: str, quotient: QuotientSpec):
                  colored summand lies in that summand's block-respecting
                  non-crossing span; its rows are nonzero and pairwise distinct
 
-    Span membership is linearized through Gram matrices: a functional lies in
-    the span of a subset iff its inner-product vector against the summand's
-    pairings lies in the column space of the corresponding Gram columns, iff
-    the cokernel of those columns annihilates it.  This is exact because the
-    inner product comes from genuine real vectors, hence is positive
-    semidefinite on the span.  Each cokernel vector y of a colored Gram matrix
-    G_c gives the row G_c @ y, scattered to pairing coordinates; it is zero at
-    nc_indices, as y annihilates the non-crossing columns of the symmetric
-    G_c.  Colorings without a block-respecting pairing constrain nothing, so
-    only block-balanced ones are visited, and each distinct colored subproblem
-    (G_c and its non-crossing positions) is solved once per call.  Only the
-    kernel of the constraints is read, so the order of their rows is free.
+    The rows are the _cokernel_rows of each colored Gram matrix G_c and its
+    non-crossing columns, scattered to pairing coordinates, so they vanish at
+    nc_indices; Gram matrices decide span membership exactly, as the inner
+    product comes from genuine real vectors.  Colorings without a
+    block-respecting pairing constrain nothing, so only block-balanced ones
+    are visited, and each distinct colored subproblem (G_c and its
+    non-crossing positions) is solved once per call.  Only the kernel of the
+    constraints is read, so the order of their rows is free.
     """
     pairings = enumerate_pairings(word)
     nc_set = set(enumerate_noncrossing(word))
@@ -348,20 +353,19 @@ def fullness_system(word: str, quotient: QuotientSpec):
         for wmask in unions:
             selections.setdefault(wmask, []).append(i)
     loop_masks = set(itertools.chain.from_iterable(masks))
-    solved = {}  # (colored rows, nc_local) -> compact rows G_c @ y
+    solved = {}  # (colored rows, nc_local) -> their _cokernel_rows
     constraint_rows = {}  # each distinct row once
     for wmask, sel in selections.items():
         weight = dict(zip(loop_masks, map(_colored_weight(wmask, quotient), loop_masks)))
         colored = tuple(tuple([weight[masks[a][b]] for b in sel]) for a in sel)
         key = colored, tuple(k for k, i in enumerate(sel) if i in nc_index_set)
         if key not in solved:
-            solved[key] = [[sum(map(mul, row, y)) for row in colored] for y in _cokernel(*key)]
+            solved[key] = _cokernel_rows(*key)
         for values in solved[key]:
             full_row = [0] * len(pairings)
             for i, value in zip(sel, values):
                 full_row[i] = value
-            if any(full_row):
-                constraint_rows.setdefault(tuple(full_row))
+            constraint_rows.setdefault(tuple(full_row))
     constraints = ExactMatrix._of_int_rows(constraint_rows, len(pairings))
     return pairings, nc_indices, gram, constraints
 
@@ -377,24 +381,24 @@ def joint_fullness(word: str, quotient: QuotientSpec) -> FullnessVerdict:
     the block quotient already lies in the global non-crossing span.
 
     The jointly coinvariant coefficient space is the right kernel of the
-    constraint system from fullness_system; the verdict holds when the Gram
-    image of each kernel basis vector is annihilated by the cokernel of the
-    non-crossing Gram columns.  A failing verdict carries the first basis
-    vector whose image is not as its witness, re-checked from scratch by an
-    in_column_space certificate before returning.  The kernel always contains
-    span(e_NC) + ker G, as each G_c is positive semidefinite with G the sum of
-    the scattered G_c, so the verdict holds iff solution_dim equals that
-    subspace's dimension m - rank G + rank G[:, NC] (m pairings, NC the
-    non-crossing ones).
+    constraint system from fullness_system; the verdict holds when the
+    _cokernel_rows of the ambient Gram matrix and its non-crossing columns
+    annihilate each kernel basis vector.  A failing verdict carries the first
+    basis vector that one of them does not as its witness, re-checked from
+    scratch by an in_column_space certificate before returning.  The kernel
+    always contains span(e_NC) + ker G, as each G_c is positive semidefinite
+    with G the sum of the scattered G_c, so the verdict holds iff
+    solution_dim equals that subspace's dimension m - rank G + rank G[:, NC]
+    (m pairings, NC the non-crossing ones).
     """
     if 2 * parse_word(word).count("u") != len(word):
         raise ValueError("joint fullness is a question about balanced words only")
     pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     solution = constraints.nullspace_basis()
-    cokernel = _cokernel(gram.row_list(), nc_indices)
+    outside = _cokernel_rows(gram.row_list(), nc_indices)
     for a in solution:
-        image = gram.matvec(a)
-        if any(sum(map(mul, y, image)) for y in cokernel):
+        support = [(j, v) for j, v in enumerate(a) if v]
+        if any(sum([row[j] * v for j, v in support]) for row in outside):
             witness = tuple(a)
             if not verify_witness(word, quotient, witness):
                 raise VerificationError("witness fails re-verification")

@@ -12,7 +12,7 @@ from freeqg.coinvariants import (
     AmbientSpec,
     QuotientSpec,
     RealizationTooLarge,
-    _cokernel,
+    _cokernel_rows,
     fullness_system,
     gram_matrix,
     gram_matrix_colored,
@@ -606,13 +606,12 @@ def test_fullness_system_solves_each_colored_subproblem_once(n, d_w, d_u, distin
         subproblems.add((tuple(map(tuple, colored)), nc_local))
     assert (len(colorings), len(subproblems)) == (252, distinct)
     calls = []
-    cokernel = coinvariants._cokernel
 
     def spy(gram_rows, inside):
         calls.append(len(inside))
-        return cokernel(gram_rows, inside)
+        return _cokernel_rows(gram_rows, inside)
 
-    monkeypatch.setattr(coinvariants, "_cokernel", spy)
+    monkeypatch.setattr(coinvariants, "_cokernel_rows", spy)
     fullness_system(word, quotient)
     assert len(calls) == len(subproblems)
 
@@ -724,10 +723,51 @@ def gram_of_columns(columns):
 
 def outside_by_cokernel(gram_rows, inside, index):
     """The rule joint_fullness applies to a kernel vector a: G a lies outside
-    the span of the columns `inside` iff some cokernel vector y has
-    y . (G a) != 0.  Here a = e_index, so G a is column `index` of G."""
-    image = [row[index] for row in gram_rows]
-    return any(sum(map(mul, y, image)) for y in _cokernel(gram_rows, inside))
+    the span of the columns `inside` iff some row G y of _cokernel_rows has
+    (G y) . a != 0.  Here a = e_index, so that is entry `index` of the row."""
+    return any(row[index] for row in _cokernel_rows(gram_rows, inside))
+
+
+def check_cokernel_rows(gram_rows, inside):
+    """_cokernel_rows against the dense products G @ y over the whole of each
+    row, y over nullspace_basis of the rows `inside`: the nonzero ones, in
+    order.  Returns the dense products."""
+    block = ExactMatrix([gram_rows[k] for k in inside], cols=len(gram_rows))
+    dense = [[sum(map(mul, row, y)) for row in gram_rows] for y in block.nullspace_basis()]
+    assert _cokernel_rows(gram_rows, inside) == [row for row in dense if any(row)]
+    return dense
+
+
+@pytest.mark.parametrize(
+    "n,d_w,d_u,longer", [(4, 2, 2, ["uuUuUUuUuU"]), (5, 4, 1, []), (3, 2, 1, [])]
+)
+def test_cokernel_rows_are_the_nonzero_dense_products(n, d_w, d_u, longer, monkeypatch):
+    """On every distinct colored subproblem that fullness_system solves and
+    on every ambient Gram matrix with its non-crossing columns."""
+    quotient = QuotientSpec(d_w, d_u)
+    subproblems = set()
+
+    def spy(gram_rows, inside):
+        subproblems.add((gram_rows, inside))
+        return _cokernel_rows(gram_rows, inside)
+
+    monkeypatch.setattr(coinvariants, "_cokernel_rows", spy)
+    for word in balanced_words(8) + list(map(parse_word, longer)):
+        _, nc_indices, gram, _ = fullness_system(word, quotient)
+        subproblems.add((tuple(map(tuple, gram.row_list())), tuple(nc_indices)))
+    for gram_rows, inside in subproblems:
+        check_cokernel_rows(gram_rows, inside)
+    if (n, d_w) == (4, 2):
+        # the all-W coloring of uUuUuUuU: G_c is the ambient Gram at n = 2,
+        # whose rank 14 is |NC|, so every dense product is zero
+        word = parse_word("uUuUuUuU")
+        pairings, nc_set = enumerate_pairings(word), set(enumerate_noncrossing(word))
+        nc_indices = tuple(i for i, p in enumerate(pairings) if p in nc_set)
+        gram_rows = tuple(map(tuple, gram_matrix(pairings, word, AmbientSpec(2)).row_list()))
+        assert (gram_rows, nc_indices) in subproblems
+        dense = check_cokernel_rows(gram_rows, nc_indices)
+        assert (len(nc_indices), len(dense)) == (14, 10)
+        assert not any(map(any, dense))
 
 
 @pytest.mark.parametrize(
