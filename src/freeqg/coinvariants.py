@@ -17,9 +17,15 @@ matrices enter linalg through ExactMatrix._of_int_rows, without its scan.
 
 Span membership has one rule, _cokernel_rows: the rows G @ y, y over the
 cokernel of some Gram columns, annihilate exactly the span of those columns.
-fullness_system reads them as each colored subproblem's constraint rows,
+_constraint_rows reads them as each colored subproblem's constraint rows,
 joint_fullness as the membership test of the constraint kernel;
 verify_witness re-checks a witness by another route, in_column_space.
+
+joint_fullness has two routes.  A rank certificate proves a holding verdict
+as soon as constraint rows reach a bound on the constraint rank, built from
+the closed-form Gram rank of closed_form_rank, without the ambient Gram
+matrix or a kernel; the exact route, the kernel of fullness_system's
+constraints and its membership test, decides the rest and finds witnesses.
 
 Two independent routes to the same geometry are kept side by side on purpose:
 loop counting produces Gram entries combinatorially, while realize_functional
@@ -30,13 +36,14 @@ by literal dot products.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .linalg import ExactMatrix, VerificationError
+from .linalg import ExactMatrix, VerificationError, _pivots_mod_p
 from .words import (
     Pairing,
     enumerate_noncrossing,
@@ -311,6 +318,55 @@ def _cokernel_rows(gram_rows, inside) -> list[list[int]]:
     return products
 
 
+def _pairing_loops(word: str):
+    """(pairings, nc_indices, masks): all pairings of the word in enumeration
+    order, the positions of the non-crossing ones inside that list, and the
+    loop masks of every pair, walked once and reused by every coloring."""
+    pairings = enumerate_pairings(word)
+    nc_set = set(enumerate_noncrossing(word))
+    nc_indices = [i for i, p in enumerate(pairings) if p in nc_set]
+    return pairings, nc_indices, _loop_gram(pairings, word, lambda mask: mask)
+
+
+def _constraint_rows(pairings, nc_indices, masks, quotient: QuotientSpec):
+    """Yield each distinct constraint row once, as a tuple in pairing
+    coordinates: the _cokernel_rows of each colored Gram matrix G_c and its
+    non-crossing columns, scattered to pairing coordinates, so they vanish at
+    nc_indices.  Colorings without a block-respecting pairing constrain
+    nothing, so only block-balanced ones are visited, those with the most
+    block-respecting pairings (k_W! * k_U!) first, ties in the order their
+    masks are first met.  Each distinct colored subproblem (G_c and its
+    non-crossing positions) is solved once, and its rows are scattered for
+    every coloring that shares it."""
+    nc_index_set = set(nc_indices)
+    # a pairing respects exactly the colorings whose W slots (bit pos - 1) are
+    # a union of its arcs
+    selections: dict[int, list[int]] = {}
+    for i, p in enumerate(pairings):
+        unions = [0]
+        for a, b in p.arcs:
+            unions += [u | 1 << a - 1 | 1 << b - 1 for u in unions]
+        for wmask in unions:
+            selections.setdefault(wmask, []).append(i)
+    loop_masks = set(itertools.chain.from_iterable(masks))
+    solved = {}  # (colored rows, nc_local) -> their _cokernel_rows
+    seen = set()
+    for wmask, sel in sorted(selections.items(), key=lambda item: len(item[1]), reverse=True):
+        weight = dict(zip(loop_masks, map(_colored_weight(wmask, quotient), loop_masks)))
+        colored = tuple(tuple([weight[masks[a][b]] for b in sel]) for a in sel)
+        key = colored, tuple(k for k, i in enumerate(sel) if i in nc_index_set)
+        if key not in solved:
+            solved[key] = _cokernel_rows(*key)
+        for values in solved[key]:
+            full_row = [0] * len(pairings)
+            for i, value in zip(sel, values):
+                full_row[i] = value
+            row = tuple(full_row)
+            if row not in seen:
+                seen.add(row)
+                yield row
+
+
 def fullness_system(word: str, quotient: QuotientSpec):
     """Constraint system for joint coinvariance of a balanced word.
 
@@ -324,50 +380,85 @@ def fullness_system(word: str, quotient: QuotientSpec):
                  colored summand lies in that summand's block-respecting
                  non-crossing span; its rows are nonzero and pairwise distinct
 
-    The rows are the _cokernel_rows of each colored Gram matrix G_c and its
-    non-crossing columns, scattered to pairing coordinates, so they vanish at
-    nc_indices; Gram matrices decide span membership exactly, as the inner
-    product comes from genuine real vectors.  Colorings without a
-    block-respecting pairing constrain nothing, so only block-balanced ones
-    are visited, and each distinct colored subproblem (G_c and its
-    non-crossing positions) is solved once per call.  Only the kernel of the
-    constraints is read, so the order of their rows is free.
+    The rows are those of _constraint_rows; Gram matrices decide span
+    membership exactly, as the inner product comes from genuine real
+    vectors.  Only the kernel of the constraints is read, so the order of
+    their rows is free.
     """
-    pairings = enumerate_pairings(word)
-    nc_set = set(enumerate_noncrossing(word))
-    nc_indices = [i for i, p in enumerate(pairings) if p in nc_set]
-    nc_index_set = set(nc_indices)
-    # the loops of every pair, walked once and reused by every coloring
-    masks = _loop_gram(pairings, word, lambda mask: mask)
+    pairings, nc_indices, masks = _pairing_loops(word)
     n = quotient.n
     gram = ExactMatrix._of_int_rows(
         [[n ** m.bit_count() for m in row] for row in masks], len(pairings)
     )
-    # a pairing respects exactly the colorings whose W slots (bit pos - 1) are
-    # a union of its arcs
-    selections: dict[int, list[int]] = {}
-    for i, p in enumerate(pairings):
-        unions = [0]
-        for a, b in p.arcs:
-            unions += [u | 1 << a - 1 | 1 << b - 1 for u in unions]
-        for wmask in unions:
-            selections.setdefault(wmask, []).append(i)
-    loop_masks = set(itertools.chain.from_iterable(masks))
-    solved = {}  # (colored rows, nc_local) -> their _cokernel_rows
-    constraint_rows = {}  # each distinct row once
-    for wmask, sel in selections.items():
-        weight = dict(zip(loop_masks, map(_colored_weight(wmask, quotient), loop_masks)))
-        colored = tuple(tuple([weight[masks[a][b]] for b in sel]) for a in sel)
-        key = colored, tuple(k for k, i in enumerate(sel) if i in nc_index_set)
-        if key not in solved:
-            solved[key] = _cokernel_rows(*key)
-        for values in solved[key]:
-            full_row = [0] * len(pairings)
-            for i, value in zip(sel, values):
-                full_row[i] = value
-            constraint_rows.setdefault(tuple(full_row))
-    constraints = ExactMatrix._of_int_rows(constraint_rows, len(pairings))
+    constraints = ExactMatrix._of_int_rows(
+        _constraint_rows(pairings, nc_indices, masks, quotient), len(pairings)
+    )
     return pairings, nc_indices, gram, constraints
+
+
+def closed_form_rank(k: int, n: int) -> int:
+    """r(k, n), the rank of the ambient Gram matrix of a word with k V slots
+    at size n.  The pairings are the permutations of S_k, and the Gram matrix
+    is the trace form of the image of the group algebra in End(V^k), so by
+    Schur-Weyl duality its rank is the dimension of that image: the sum of
+    (f^shape)^2 over the shapes of k with at most n rows, f^shape by the hook
+    length formula.  The hook of cell (i, j) is its arm and the cell,
+    part - j, plus its leg, the rows below reaching column j.  The sum also
+    counts the permutations of S_k with no decreasing subsequence longer than
+    n (Schensted, "Longest increasing and decreasing subsequences", Canad. J.
+    Math. 13, 1961; Stanley, Enumerative Combinatorics vol. 2, ch. 7)."""
+    total = 0
+    for rows in range(min(k, n) + 1):  # shapes: non-increasing parts summing to k
+        for shape in itertools.combinations_with_replacement(range(k, 0, -1), rows):
+            if sum(shape) == k:
+                hooks = math.prod(
+                    part - j + sum(row > j for row in shape[i + 1:])
+                    for i, part in enumerate(shape)
+                    for j in range(part)
+                )
+                total += (math.factorial(k) // hooks) ** 2
+    return total
+
+
+def _rank_certificate(word: str, quotient: QuotientSpec) -> int | None:
+    """solution_dim of a holding verdict, certified by a rank bound, or None
+    when the constraint rows do not reach the bound.
+
+    With m pairings and C the constraint matrix, ker C contains
+    span(e_NC) + ker G (see joint_fullness), so rank C <= rank G -
+    rank G[:, NC] <= b = r(k, n) - r_p(G[NC, NC]): rank G is
+    closed_form_rank, and rank G[:, NC] = rank G[NC, NC] for a Gram matrix
+    of real vectors, bounded below by its rank mod p.  A minor nonzero mod p
+    is a nonzero integer (Kaltofen & Saunders, AAECC-9, LNCS 539, 1991), so
+    rows of C of rank b mod p prove rank C = b: the verdict holds with
+    solution_dim m - b.  _pivots_mod_p eliminates the rows in batches and
+    keeps the pivot rows: the first batch once the rows could reach b, each
+    later one once it is twice the last.  A rank above b, or a row nonzero
+    on a non-crossing column, contradicts the bound: VerificationError.
+    """
+    pairings, nc_indices, masks = _pairing_loops(word)
+    n, m = quotient.n, len(pairings)
+    nc_gram = [[n ** masks[a][b].bit_count() for b in nc_indices] for a in nc_indices]
+    bound = closed_form_rank(len(word) // 2, n) - len(_pivots_mod_p(nc_gram, len(nc_indices)))
+    kept, pending, batch = [], [], 0
+    rows = _constraint_rows(pairings, nc_indices, masks, quotient)
+    for row in itertools.chain(rows, [None]):  # None: the rows ran out
+        if row is not None:
+            if any(row[j] for j in nc_indices):
+                raise VerificationError("a constraint row is nonzero on a non-crossing column")
+            pending.append(row)
+            if len(kept) + len(pending) < bound or len(pending) < 2 * batch:
+                continue
+        if pending:
+            batch = len(pending)
+            kept += pending
+            kept = [kept[r] for r, _ in _pivots_mod_p(kept, m)]
+            pending = []
+        if len(kept) > bound:
+            raise VerificationError(f"constraint rank {len(kept)} exceeds its bound {bound}")
+        if len(kept) == bound:
+            return m - bound
+    return None
 
 
 def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:
@@ -381,18 +472,27 @@ def joint_fullness(word: str, quotient: QuotientSpec) -> FullnessVerdict:
     the block quotient already lies in the global non-crossing span.
 
     The jointly coinvariant coefficient space is the right kernel of the
-    constraint system from fullness_system; the verdict holds when the
-    _cokernel_rows of the ambient Gram matrix and its non-crossing columns
-    annihilate each kernel basis vector.  A failing verdict carries the first
-    basis vector that one of them does not as its witness, re-checked from
-    scratch by an in_column_space certificate before returning.  The kernel
-    always contains span(e_NC) + ker G, as each G_c is positive semidefinite
-    with G the sum of the scattered G_c, so the verdict holds iff
-    solution_dim equals that subspace's dimension m - rank G + rank G[:, NC]
-    (m pairings, NC the non-crossing ones).
+    constraint system from fullness_system.  It always contains
+    span(e_NC) + ker G, as each G_c is positive semidefinite with G the sum
+    of the scattered G_c, so the verdict holds iff solution_dim equals that
+    subspace's dimension m - rank G + rank G[:, NC] (m pairings, NC the
+    non-crossing ones).
+
+    Two routes decide it.  _rank_certificate first proves a holding verdict
+    and its solution_dim from a modular rank of constraint rows that reaches
+    an upper bound, and stops there.  When the rows run out below the bound,
+    the exact route takes the integer kernel of the whole constraint system;
+    the verdict holds when the _cokernel_rows of the ambient Gram matrix and
+    its non-crossing columns annihilate each kernel basis vector.  A failing
+    verdict carries the first basis vector that one of them does not as its
+    witness, re-checked from scratch by an in_column_space certificate
+    before returning.
     """
     if 2 * parse_word(word).count("u") != len(word):
         raise ValueError("joint fullness is a question about balanced words only")
+    solution_dim = _rank_certificate(word, quotient)
+    if solution_dim is not None:
+        return FullnessVerdict(True, solution_dim, None)
     pairings, nc_indices, gram, constraints = fullness_system(word, quotient)
     solution = constraints.nullspace_basis()
     outside = _cokernel_rows(gram.row_list(), nc_indices)

@@ -175,12 +175,31 @@ def _keep_three_noncrossing_of_uUuUuU(monkeypatch):
         ((1, 4), (2, 3), (5, 6)),
         ((1, 6), (2, 5), (3, 4)),
     ]
+    # the hidden pairings raise the certificate's bound above the constraint
+    # rank, so it declines and the exact route decides
+    declined, exact = set(), set()
+    certify, system = coinvariants._rank_certificate, coinvariants.fullness_system
+
+    def certificate_spy(word, quotient):
+        solution_dim = certify(word, quotient)
+        if solution_dim is None:
+            declined.add(word)
+        return solution_dim
+
+    def system_spy(word, quotient):
+        exact.add(word)
+        return system(word, quotient)
+
+    monkeypatch.setattr(coinvariants, "_rank_certificate", certificate_spy)
+    monkeypatch.setattr(coinvariants, "fullness_system", system_spy)
+    return declined, exact
 
 
 def test_joint_fullness_fails_with_a_verified_witness(monkeypatch):
-    _keep_three_noncrossing_of_uUuUuU(monkeypatch)
+    routes = _keep_three_noncrossing_of_uUuUuU(monkeypatch)
     quotient = QuotientSpec(1, 1)
     verdict = joint_fullness("uUuUuU", quotient)
+    assert routes == ({"uUuUuU"}, {"uUuUuU"})
     assert verdict.holds is False
     assert verdict.solution_space_dim == 6
     assert verdict.witness == (1, 0, 0, 0, 0, 0)
@@ -189,10 +208,11 @@ def test_joint_fullness_fails_with_a_verified_witness(monkeypatch):
 
 
 def test_a_failing_verdict_exits_1_and_its_orbit_is_decided_word_by_word(capsys, monkeypatch):
-    _keep_three_noncrossing_of_uUuUuU(monkeypatch)
+    routes = _keep_three_noncrossing_of_uUuUuU(monkeypatch)
     monkeypatch.delenv("QGI_THREADS", raising=False)
     argv = ["fullness", "--word", "uUuUuU", "--n", "2", "--dw", "1", "--du", "1"]
     code, report = run_json(capsys, argv)
+    assert routes == ({"uUuUuU"}, {"uUuUuU"})
     assert code == 1
     jsonschema.validate(report["result"], load_schema("fullness_result.schema.json"))
     assert report["result"]["all_hold"] is False
@@ -211,15 +231,30 @@ def test_a_failing_verdict_exits_1_and_its_orbit_is_decided_word_by_word(capsys,
 
 
 def test_failed_self_check_exits_3(capsys, monkeypatch):
-    # e_0 is the functional of the crossing pairing of uuUU: outside the
-    # non-crossing span, and off the constraint kernel, so the witness
-    # re-check rejects it
+    # on the exact route, forced by a certificate that declines, e_0 is the
+    # functional of the crossing pairing of uuUU: outside the non-crossing
+    # span, and off the constraint kernel, so the witness re-check rejects it
+    monkeypatch.setattr(coinvariants, "_rank_certificate", lambda word, quotient: None)
     monkeypatch.setattr(ExactMatrix, "nullspace_basis", lambda self: [[1] + [0] * (self.cols - 1)])
     code = main(["fullness", "--word", "uuUU", "--n", "4", "--dw", "2", "--du", "2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: self-check failed: witness fails re-verification"]
+
+
+def test_certificate_rank_above_its_bound_exits_3(capsys, monkeypatch):
+    # r(2, 4) lowered by one makes the bound 0, below the rank of the first
+    # constraint row of uuUU
+    closed_form_rank = coinvariants.closed_form_rank
+    monkeypatch.setattr(coinvariants, "closed_form_rank", lambda k, n: closed_form_rank(k, n) - 1)
+    code = main(["fullness", "--word", "uuUU", "--n", "4", "--dw", "2", "--du", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: self-check failed: constraint rank 1 exceeds its bound 0"
+    ]
 
 
 def _die(task):

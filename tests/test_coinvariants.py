@@ -13,6 +13,7 @@ from freeqg.coinvariants import (
     QuotientSpec,
     RealizationTooLarge,
     _cokernel_rows,
+    closed_form_rank,
     fullness_system,
     gram_matrix,
     gram_matrix_colored,
@@ -410,48 +411,14 @@ def test_gram_rank_equals_invariant_dimension(text, n):
     assert gram.rank() == invariant_dimension_oracle(word, ambient)
 
 
-def partitions(k, largest):
-    """Partitions of k into parts of at most `largest`, as non-increasing tuples."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, largest), 0, -1):
-        for rest in partitions(k - first, first):
-            yield (first,) + rest
-
-
-def closed_form_rank(k, n):
-    """r(k, n): the sum of (f^shape)^2 over the shapes of k with at most n
-    rows, f^shape by the hook length formula; the hook of cell (i, j) is its
-    arm and the cell, part - j, plus its leg, the rows below reaching column j."""
-    total = 0
-    for shape in partitions(k, k):
-        if len(shape) > n:
-            continue
-        hooks = math.prod(
-            part - j + sum(row > j for row in shape[i + 1:])
-            for i, part in enumerate(shape)
-            for j in range(part)
-        )
-        total += (math.factorial(k) // hooks) ** 2
-    return total
-
-
 def test_closed_form_rank_values():
     assert [closed_form_rank(6, n) for n in range(1, 7)] == [1, 132, 513, 694, 719, 720]
     assert [closed_form_rank(k, 9) for k in range(6)] == [1, 1, 2, 6, 24, 120]
 
 
 def test_gram_ranks_match_the_closed_form():
-    """A second route to every ambient Gram rank, sharing no elimination.
-    The pairings of a word with k V slots are the permutations of S_k, and
-    the Gram matrix is the trace form of the image of the group algebra in
-    End(V^k), so by Schur-Weyl duality its rank is the dimension of that
-    image, r(k, n).  The sum of (f^shape)^2 over shapes with at most n rows
-    also counts the permutations of S_k with no decreasing subsequence longer
-    than n (Schensted, "Longest increasing and decreasing subsequences",
-    Canad. J. Math. 13, 1961; Stanley, Enumerative Combinatorics vol. 2,
-    ch. 7)."""
+    """A second route to every ambient Gram rank, sharing no elimination:
+    closed_form_rank, from Schur-Weyl duality and the hook length formula."""
     for word in balanced_words(8):
         pairings = enumerate_pairings(word)
         for n in range(1, 6):
@@ -897,6 +864,73 @@ def test_joint_fullness_matches_the_dense_route(n, d_w, d_u):
         verdict = joint_fullness(word, quotient)
         expected = dense_joint_fullness(word, quotient)
         assert (verdict.holds, verdict.solution_space_dim) == expected, str(word)
+
+
+def length_10_orbit_representatives():
+    firsts = {}
+    for word in balanced_words(10):
+        if len(word) == 10:
+            firsts.setdefault(orbit_key(word), word)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize("n,d_w,d_u", [(4, 2, 2), (5, 4, 1), (3, 2, 1)])
+def test_rank_certificate_and_exact_route_agree(n, d_w, d_u, monkeypatch):
+    """The two routes of joint_fullness, which share no kernel computation:
+    the rank certificate decides every balanced word up to length 8, and the
+    13 length-10 orbit representatives at (4; 2,2), and the exact route,
+    forced by a certificate that declines, gives the same verdicts and
+    solution dimensions."""
+    quotient = QuotientSpec(d_w, d_u)
+    words = balanced_words(8)
+    if (d_w, d_u) == (2, 2):
+        words += length_10_orbit_representatives()
+        assert len(words) == 99 + 13
+    certified = [coinvariants._rank_certificate(w, quotient) for w in words]
+    assert None not in certified
+    monkeypatch.setattr(coinvariants, "_rank_certificate", lambda word, quotient: None)
+    for word, solution_dim in zip(words, certified):
+        verdict = joint_fullness(word, quotient)
+        assert (verdict.holds, verdict.solution_space_dim) == (True, solution_dim), word
+
+
+def test_rank_certificate_checks_in_doubling_batches(monkeypatch):
+    """The first check comes once the rows could reach the bound b, each
+    later one once the rows pending since the last are twice as many, and
+    only pivot rows are carried from one check to the next."""
+    calls, consumed = [], []
+    pivots_mod_p, constraint_rows = coinvariants._pivots_mod_p, coinvariants._constraint_rows
+
+    def spy(rows, n_cols):
+        pivots = pivots_mod_p(rows, n_cols)
+        calls.append((len(rows), len(pivots)))
+        return pivots
+
+    def rows_spy(*args):
+        for row in constraint_rows(*args):
+            consumed.append(row)
+            yield row
+
+    monkeypatch.setattr(coinvariants, "_pivots_mod_p", spy)
+    monkeypatch.setattr(coinvariants, "_constraint_rows", rows_spy)
+    word, quotient = "uuuuuUUUUU", QuotientSpec(2, 2)
+    solution_dim = coinvariants._rank_certificate(word, quotient)
+    (nc_count, nc_rank_p), *checks = calls
+    bound = closed_form_rank(5, 4) - nc_rank_p
+    assert (nc_count, bound, solution_dim) == (1, 118, 120 - 118)
+    ranks = [0] + [rank for _, rank in checks]
+    batches = [rows - kept for (rows, _), kept in zip(checks, ranks)]
+    assert len(checks) >= 2 and ranks[-1] == bound > ranks[-2]
+    assert batches[0] >= bound and sum(batches) == len(consumed)
+    assert all(later >= 2 * earlier for earlier, later in zip(batches, batches[1:]))
+
+
+def test_rank_certificate_rejects_a_row_on_a_noncrossing_column(monkeypatch):
+    # a fake span rule whose rows are nonzero everywhere, the non-crossing
+    # columns included
+    monkeypatch.setattr(coinvariants, "_cokernel_rows", lambda rows, inside: [[1] * len(rows)])
+    with pytest.raises(linalg.VerificationError, match="non-crossing column"):
+        joint_fullness(parse_word("uuUU"), QuotientSpec(2, 2))
 
 
 def test_joint_fullness_conjectured_n3_case_holds_on_short_words():

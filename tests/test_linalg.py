@@ -480,8 +480,21 @@ expect_raise("tall", lambda: ExactMatrix([[1, 2], [2, 4], [3, 6]]).nullspace_bas
 print("tall eliminated rows", eliminated)
 expect_raise("certificate", lambda: ExactMatrix([[2, 0], [0, 3]]).in_column_space([1, 1]))
 ExactMatrix._echelon = echelon
-# an empty non-crossing set on the first call makes the first kernel vector
-# look outside the span; the re-check then builds the true system
+# the rank certificate: a closed form lowered by one puts the rank of the
+# first constraint row of uuUU above the bound 0, and a span rule with rows
+# nonzero everywhere puts a row on a non-crossing column
+closed_form_rank = coinvariants.closed_form_rank
+coinvariants.closed_form_rank = lambda k, n: closed_form_rank(k, n) - 1
+expect_raise("bound", lambda: joint_fullness(parse_word("uuUU"), QuotientSpec(2, 2)))
+coinvariants.closed_form_rank = closed_form_rank
+cokernel_rows = coinvariants._cokernel_rows
+coinvariants._cokernel_rows = lambda rows, inside: [[1] * len(rows)]
+expect_raise("noncrossing", lambda: joint_fullness(parse_word("uuUU"), QuotientSpec(2, 2)))
+coinvariants._cokernel_rows = cokernel_rows
+# on the exact route, forced by a certificate that declines, an empty
+# non-crossing set on the first call makes the first kernel vector look
+# outside the span; the re-check then builds the true system
+coinvariants._rank_certificate = lambda word, quotient: None
 system = coinvariants.fullness_system
 calls = []
 
@@ -514,5 +527,7 @@ def test_self_checks_survive_python_O():
         "tall kernel vector fails verification",
         "tall eliminated rows [1, 3]",
         "certificate kernel vector fails verification",
+        "bound constraint rank 1 exceeds its bound 0",
+        "noncrossing a constraint row is nonzero on a non-crossing column",
         "witness witness fails re-verification",
     ]
