@@ -8,12 +8,13 @@ p overlaid with q, and in the colored refinement each loop contributes the
 size of the block it stays in.  One routine builds every Gram matrix: it
 codes the slot permutation of every pair as an integer, by one BLAS matmul
 per block of rows, and walks each permutation for its loops once per call;
-ambient and colored matrices differ only in how they weigh those loops, so
-fullness_system weighs one walk of all pairs for the ambient matrix and
-every coloring.  Every Gram entry is a product of powers of n, d_w and d_u,
-so all span and rank questions are settled by integer elimination.  The
-specs take only int sizes, so the entries are ints by construction and the
-matrices enter linalg through ExactMatrix._of_int_rows, without its scan.
+ambient and colored matrices differ only in how they weigh those loops.
+gram_matrix weighs each loop by n, and the constraint rows weigh one walk
+of all pairs, their loop masks, for every coloring.  Every Gram entry is a
+product of powers of n, d_w and d_u, so all span and rank questions are
+settled by integer elimination.  The specs take only int sizes, so the
+entries are ints by construction and the matrices enter linalg through
+ExactMatrix._of_int_rows, without its scan.
 
 Span membership has one rule, _cokernel_rows: the rows G @ y, y over the
 cokernel of some Gram columns, annihilate exactly the span of those columns.
@@ -374,22 +375,20 @@ def fullness_system(word: str, quotient: QuotientSpec):
 
     pairings     all pairings of the word, in enumeration order
     nc_indices   positions of the non-crossing ones inside that list
-    gram         ambient Gram matrix of all pairings
+    gram         ambient Gram matrix of all pairings, from gram_matrix
     constraints  integer matrix whose right kernel, in pairing coordinates, is
                  exactly the space of functionals whose restriction to every
                  colored summand lies in that summand's block-respecting
                  non-crossing span; its rows are nonzero and pairwise distinct
 
-    The rows are those of _constraint_rows; Gram matrices decide span
+    The rows are those of _constraint_rows, weighed from the loop masks of
+    _pairing_loops for every coloring; Gram matrices decide span
     membership exactly, as the inner product comes from genuine real
     vectors.  Only the kernel of the constraints is read, so the order of
     their rows is free.
     """
     pairings, nc_indices, masks = _pairing_loops(word)
-    n = quotient.n
-    gram = ExactMatrix._of_int_rows(
-        [[n ** m.bit_count() for m in row] for row in masks], len(pairings)
-    )
+    gram = gram_matrix(pairings, word, AmbientSpec(quotient.n))
     constraints = ExactMatrix._of_int_rows(
         _constraint_rows(pairings, nc_indices, masks, quotient), len(pairings)
     )
@@ -431,34 +430,29 @@ def _rank_certificate(word: str, quotient: QuotientSpec) -> int | None:
     of real vectors, bounded below by its rank mod p.  A minor nonzero mod p
     is a nonzero integer (Kaltofen & Saunders, AAECC-9, LNCS 539, 1991), so
     rows of C of rank b mod p prove rank C = b: the verdict holds with
-    solution_dim m - b.  _pivots_mod_p eliminates the rows in batches and
-    keeps the pivot rows: the first batch once the rows could reach b, each
-    later one once it is twice the last.  A rank above b, or a row nonzero
-    on a non-crossing column, contradicts the bound: VerificationError.
+    solution_dim m - b.  The rows are read in batches, max(b, 1) first and
+    then twice the last batch; _pivots_mod_p eliminates each batch together
+    with the pivot rows kept so far, and only its pivot rows are kept.  A
+    rank above b, or a row nonzero on a non-crossing column, contradicts the
+    bound: VerificationError.  Rows that run out below rank b give None.
     """
     pairings, nc_indices, masks = _pairing_loops(word)
     n, m = quotient.n, len(pairings)
     nc_gram = [[n ** masks[a][b].bit_count() for b in nc_indices] for a in nc_indices]
     bound = closed_form_rank(len(word) // 2, n) - len(_pivots_mod_p(nc_gram, len(nc_indices)))
-    kept, pending, batch = [], [], 0
     rows = _constraint_rows(pairings, nc_indices, masks, quotient)
-    for row in itertools.chain(rows, [None]):  # None: the rows ran out
-        if row is not None:
-            if any(row[j] for j in nc_indices):
-                raise VerificationError("a constraint row is nonzero on a non-crossing column")
-            pending.append(row)
-            if len(kept) + len(pending) < bound or len(pending) < 2 * batch:
-                continue
-        if pending:
-            batch = len(pending)
-            kept += pending
-            kept = [kept[r] for r, _ in _pivots_mod_p(kept, m)]
-            pending = []
+    kept, size = [], max(bound, 1)
+    while batch := list(itertools.islice(rows, size)):
+        if any(row[j] for row in batch for j in nc_indices):
+            raise VerificationError("a constraint row is nonzero on a non-crossing column")
+        kept += batch
+        kept = [kept[r] for r, _ in _pivots_mod_p(kept, m)]
         if len(kept) > bound:
             raise VerificationError(f"constraint rank {len(kept)} exceeds its bound {bound}")
         if len(kept) == bound:
-            return m - bound
-    return None
+            break
+        size = 2 * len(batch)
+    return m - bound if len(kept) == bound else None
 
 
 def in_noncrossing_span(gram: ExactMatrix, nc_indices, coeffs) -> bool:

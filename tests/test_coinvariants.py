@@ -894,10 +894,10 @@ def test_rank_certificate_and_exact_route_agree(n, d_w, d_u, monkeypatch):
         assert (verdict.holds, verdict.solution_space_dim) == (True, solution_dim), word
 
 
-def test_rank_certificate_checks_in_doubling_batches(monkeypatch):
-    """The first check comes once the rows could reach the bound b, each
-    later one once the rows pending since the last are twice as many, and
-    only pivot rows are carried from one check to the next."""
+def _spy_on_certificate(monkeypatch):
+    """(calls, consumed), filled as the rank certificate runs: each
+    _pivots_mod_p call as (rows, pivots), the non-crossing block's first,
+    and every constraint row it reads."""
     calls, consumed = [], []
     pivots_mod_p, constraint_rows = coinvariants._pivots_mod_p, coinvariants._constraint_rows
 
@@ -913,6 +913,14 @@ def test_rank_certificate_checks_in_doubling_batches(monkeypatch):
 
     monkeypatch.setattr(coinvariants, "_pivots_mod_p", spy)
     monkeypatch.setattr(coinvariants, "_constraint_rows", rows_spy)
+    return calls, consumed
+
+
+def test_rank_certificate_checks_in_doubling_batches(monkeypatch):
+    """The first check comes once the rows could reach the bound b, each
+    later one once the rows pending since the last are twice as many, and
+    only pivot rows are carried from one check to the next."""
+    calls, consumed = _spy_on_certificate(monkeypatch)
     word, quotient = "uuuuuUUUUU", QuotientSpec(2, 2)
     solution_dim = coinvariants._rank_certificate(word, quotient)
     (nc_count, nc_rank_p), *checks = calls
@@ -923,6 +931,45 @@ def test_rank_certificate_checks_in_doubling_batches(monkeypatch):
     assert len(checks) >= 2 and ranks[-1] == bound > ranks[-2]
     assert batches[0] >= bound and sum(batches) == len(consumed)
     assert all(later >= 2 * earlier for earlier, later in zip(batches, batches[1:]))
+
+
+@pytest.mark.parametrize("word", ["", "uU"])
+def test_rank_certificate_certifies_a_zero_bound_with_no_rows(monkeypatch, word):
+    """b = 0 and no constraint rows: rank 0 reaches the bound, so the one
+    pairing is certified, and no row is eliminated."""
+    calls, consumed = _spy_on_certificate(monkeypatch)
+    assert coinvariants._rank_certificate(word, QuotientSpec(2, 2)) == 1
+    assert closed_form_rank(len(word) // 2, 4) == 1
+    assert calls == [(1, 1)] and consumed == []
+
+
+@pytest.mark.parametrize(
+    "word, bound, batches, rank",
+    [("uUuUuU", 2, [], 0), ("uuUuUuUU", 11, [11, 4], 9)],
+)
+def test_rank_certificate_declines_when_rows_run_out_inside_a_batch(
+    monkeypatch, word, bound, batches, rank
+):
+    """Hiding all but the non-crossing pairings at indices 1, 2 and 4 raises
+    b above the constraint rank at (2; 1,1).  uUuUuU has no constraint rows,
+    so its first batch of b is empty; uuUuUuUU's rows run out 4 rows into its
+    second batch of 22.  Either way the certificate declines, having read
+    every row, and its batches add up to the rows it read."""
+    enumerate_all = coinvariants.enumerate_noncrossing
+    monkeypatch.setattr(
+        coinvariants, "enumerate_noncrossing", lambda w: [enumerate_all(w)[i] for i in (1, 2, 4)]
+    )
+    calls, consumed = _spy_on_certificate(monkeypatch)
+    quotient = QuotientSpec(1, 1)
+    assert coinvariants._rank_certificate(word, quotient) is None
+    (nc_count, nc_rank_p), *checks = calls
+    assert (nc_count, closed_form_rank(len(word) // 2, 2) - nc_rank_p) == (3, bound)
+    ranks = [0] + [pivots for _, pivots in checks]
+    assert [rows - kept for (rows, _), kept in zip(checks, ranks)] == batches
+    assert sum(batches) == len(consumed) and ranks[-1] == rank < bound
+    read = [list(row) for row in consumed]
+    _, _, _, constraints = fullness_system(word, quotient)
+    assert constraints.row_list() == read
 
 
 def test_rank_certificate_rejects_a_row_on_a_noncrossing_column(monkeypatch):
